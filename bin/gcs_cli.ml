@@ -130,9 +130,26 @@ let drift_arg =
     & opt drift_conv Drift.Random_constant
     & info [ "drift" ] ~docv:"PATTERN" ~doc)
 
+(* Every --horizon: finite, positive and at most [max_horizon]. Time is a
+   float, so far past that its steps stop resolving message delays (from
+   about 1e16 on, t + 1 = t) and a run would never reach its horizon. *)
+let max_horizon = 1e9
+
+let horizon_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some h when h > 0. && h <= max_horizon -> Ok h
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid horizon %S: expected a number in (0, %g]"
+               s max_horizon))
+  in
+  Arg.conv (parse, fun ppf h -> Format.fprintf ppf "%g" h)
+
 let horizon_arg =
   Arg.(
-    value & opt float 400.
+    value & opt horizon_conv 400.
     & info [ "horizon" ] ~docv:"TIME" ~doc:"Simulated real-time length.")
 
 let seed_arg =
@@ -1405,7 +1422,7 @@ let report_cmd =
 let live_cmd =
   let horizon_arg =
     Arg.(
-      value & opt float 6.
+      value & opt horizon_conv 6.
       & info [ "horizon" ] ~docv:"SECONDS"
           ~doc:"Wall-clock run length after the start barrier.")
   in
@@ -2413,12 +2430,24 @@ let () =
   let info =
     Cmd.info "gcs-cli" ~version:"1.0.0"
       ~doc:"Gradient clock synchronization (Fan & Lynch, PODC 2004) simulator"
-  in
-  exit
-    (Cmd.eval
-       (Cmd.group info
+      ~exits:
+        Cmd.Exit.
           [
-            run_cmd; compare_cmd; attack_cmd; bounds_cmd; external_cmd;
-            trace_cmd; report_cmd; faults_cmd; sweep_cmd; store_cmd;
-            live_cmd; check_cmd; explore_cmd;
-          ]))
+            info ok ~doc:"on success.";
+            info 1 ~doc:"when a checked run violates its monitors.";
+            info 2 ~doc:"on command-line and input errors.";
+            info internal_error ~doc:"on unexpected internal errors (bugs).";
+          ]
+  in
+  let code =
+    Cmd.eval
+      (Cmd.group info
+         [
+           run_cmd; compare_cmd; attack_cmd; bounds_cmd; external_cmd;
+           trace_cmd; report_cmd; faults_cmd; sweep_cmd; store_cmd;
+           live_cmd; check_cmd; explore_cmd;
+         ])
+  in
+  (* A malformed or out-of-range option is an input error like any other:
+     exit 2, not cmdliner's 124. *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -2,9 +2,15 @@ type t = {
   n : int;
   edges : (int * int) array;
   adj : (int * int) array array; (* per node: (neighbor, edge id) by port *)
+  mutable diameter : int; (* hop diameter; [unknown_diameter] until known *)
 }
 
-let of_edges ~n edge_list =
+(* A plain int rather than a [Lazy.t]: forcing one lazy value from two
+   domains at once raises, while two domains racing to store the same int
+   is harmless. *)
+let unknown_diameter = -1
+
+let of_edges ?(diameter = unknown_diameter) ~n edge_list =
   if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";
   let seen = Hashtbl.create (List.length edge_list) in
   let normalize (u, v) =
@@ -38,7 +44,7 @@ let of_edges ~n edge_list =
       adj.(v).(fill.(v)) <- (u, id);
       fill.(v) <- fill.(v) + 1)
     edges;
-  { n; edges; adj }
+  { n; edges; adj; diameter }
 
 let n t = t.n
 let m t = Array.length t.edges
@@ -57,6 +63,10 @@ let port_of_neighbor t v w =
     else go (i + 1)
   in
   go 0
+
+let memo_diameter t compute =
+  if t.diameter = unknown_diameter then t.diameter <- compute t;
+  t.diameter
 
 let mem_edge t u v =
   Array.exists (fun (w, _) -> w = v) t.adj.(u)

@@ -8,10 +8,12 @@
 
 type t
 
-val of_edges : n:int -> (int * int) list -> t
+val of_edges : ?diameter:int -> n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds a graph on [n] nodes. Raises
     [Invalid_argument] on self-loops, duplicate edges, or endpoints outside
-    [0, n). *)
+    [0, n). [diameter], when given, is recorded unchecked as the graph's
+    hop diameter: generators whose family has a closed form pass it, so
+    {!Shortest_path.diameter} never searches their graphs. *)
 
 val n : t -> int
 (** Number of nodes. *)
@@ -40,6 +42,13 @@ val edge_at_port : t -> int -> int -> int
 val port_of_neighbor : t -> int -> int -> int
 (** [port_of_neighbor g v w] is the port of [v] that leads to [w].
     Raises [Not_found] if [w] is not adjacent to [v]. *)
+
+val memo_diameter : t -> (t -> int) -> int
+(** [memo_diameter g compute] is the hop diameter recorded on [g], or
+    [compute g], which is then recorded (unless it raises). Each graph thus
+    pays for its diameter at most once. Safe to call from several domains
+    at once: a race only computes the same value twice. This is the cache
+    behind {!Shortest_path.diameter}, which is the function to call. *)
 
 val mem_edge : t -> int -> int -> bool
 val is_connected : t -> bool

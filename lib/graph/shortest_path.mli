@@ -12,8 +12,12 @@ val all_pairs : Graph.t -> int array array
 (** Hop distances between all pairs (BFS from every node). *)
 
 val diameter : Graph.t -> int
-(** Maximum finite hop distance. Raises [Invalid_argument] if the graph is
-    disconnected. *)
+(** Maximum hop distance (exact). Raises [Invalid_argument] if the graph is
+    disconnected. Memoized on the graph ({!Graph.memo_diameter}): the
+    {!Topology} families record a closed form when built, so they cost
+    O(1); any other graph pays for one exact iFUB search (4-sweep start,
+    then BFS only from the outer levels; typically a handful of BFS, at
+    worst n) on its first call and O(1) afterwards. *)
 
 val eccentricity : Graph.t -> int -> int
 (** Maximum hop distance from a node. *)

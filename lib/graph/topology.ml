@@ -1,15 +1,50 @@
 module Prng = Gcs_util.Prng
 
+type spec =
+  | Line of int
+  | Ring of int
+  | Grid of int * int
+  | Torus of int * int
+  | Complete of int
+  | Star of int
+  | Binary_tree of int
+  | Hypercube of int
+  | Random_gnp of int * float
+  | Random_geometric of int * float
+
+(* The size preconditions of every family, shared by the constructors and
+   the parser; the closed-form diameters below rely on them. *)
+let size_error = function
+  | Line n when n < 1 -> Some "n must be >= 1"
+  | Ring n when n < 3 -> Some "n must be >= 3"
+  | Grid (r, c) when r < 1 || c < 1 -> Some "dims must be >= 1"
+  | Torus (r, c) when r < 3 || c < 3 -> Some "dims must be >= 3"
+  | (Complete n | Star n | Random_gnp (n, _) | Random_geometric (n, _))
+    when n < 2 ->
+      Some "n must be >= 2"
+  | Binary_tree d when d < 0 -> Some "depth must be >= 0"
+  | Hypercube d when d < 1 -> Some "dim must be >= 1"
+  | Random_gnp (_, p) when not (p >= 0. && p <= 1.) -> Some "p out of range"
+  | Random_geometric (_, r) when not (r > 0.) -> Some "radius must be > 0"
+  | _ -> None
+
+let require name spec =
+  Option.iter
+    (fun e -> invalid_arg (Printf.sprintf "Topology.%s: %s" name e))
+    (size_error spec)
+
 let line n =
-  if n < 1 then invalid_arg "Topology.line: n must be >= 1";
-  Graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1)))
+  require "line" (Line n);
+  Graph.of_edges ~diameter:(n - 1) ~n
+    (List.init (n - 1) (fun i -> (i, i + 1)))
 
 let ring n =
-  if n < 3 then invalid_arg "Topology.ring: n must be >= 3";
-  Graph.of_edges ~n (List.init n (fun i -> (i, (i + 1) mod n)))
+  require "ring" (Ring n);
+  Graph.of_edges ~diameter:(n / 2) ~n
+    (List.init n (fun i -> (i, (i + 1) mod n)))
 
 let grid ~rows ~cols =
-  if rows < 1 || cols < 1 then invalid_arg "Topology.grid: dims must be >= 1";
+  require "grid" (Grid (rows, cols));
   let idx r c = (r * cols) + c in
   let edges = ref [] in
   for r = 0 to rows - 1 do
@@ -18,10 +53,10 @@ let grid ~rows ~cols =
       if r + 1 < rows then edges := (idx r c, idx (r + 1) c) :: !edges
     done
   done;
-  Graph.of_edges ~n:(rows * cols) !edges
+  Graph.of_edges ~diameter:(rows + cols - 2) ~n:(rows * cols) !edges
 
 let torus ~rows ~cols =
-  if rows < 3 || cols < 3 then invalid_arg "Topology.torus: dims must be >= 3";
+  require "torus" (Torus (rows, cols));
   let idx r c = (r * cols) + c in
   let edges = ref [] in
   for r = 0 to rows - 1 do
@@ -30,33 +65,36 @@ let torus ~rows ~cols =
       edges := (idx r c, idx ((r + 1) mod rows) c) :: !edges
     done
   done;
-  Graph.of_edges ~n:(rows * cols) !edges
+  Graph.of_edges ~diameter:((rows / 2) + (cols / 2)) ~n:(rows * cols) !edges
 
 let complete n =
-  if n < 2 then invalid_arg "Topology.complete: n must be >= 2";
+  require "complete" (Complete n);
   let edges = ref [] in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
       edges := (u, v) :: !edges
     done
   done;
-  Graph.of_edges ~n !edges
+  Graph.of_edges ~diameter:1 ~n !edges
 
 let star n =
-  if n < 2 then invalid_arg "Topology.star: n must be >= 2";
-  Graph.of_edges ~n (List.init (n - 1) (fun i -> (0, i + 1)))
+  require "star" (Star n);
+  Graph.of_edges
+    ~diameter:(if n = 2 then 1 else 2)
+    ~n
+    (List.init (n - 1) (fun i -> (0, i + 1)))
 
 let binary_tree ~depth =
-  if depth < 0 then invalid_arg "Topology.binary_tree: depth must be >= 0";
+  require "binary_tree" (Binary_tree depth);
   let n = (1 lsl (depth + 1)) - 1 in
   let edges = ref [] in
   for v = 1 to n - 1 do
     edges := (v, (v - 1) / 2) :: !edges
   done;
-  Graph.of_edges ~n !edges
+  Graph.of_edges ~diameter:(2 * depth) ~n !edges
 
 let hypercube ~dim =
-  if dim < 1 then invalid_arg "Topology.hypercube: dim must be >= 1";
+  require "hypercube" (Hypercube dim);
   let n = 1 lsl dim in
   let edges = ref [] in
   for v = 0 to n - 1 do
@@ -65,7 +103,7 @@ let hypercube ~dim =
       if v < w then edges := (v, w) :: !edges
     done
   done;
-  Graph.of_edges ~n !edges
+  Graph.of_edges ~diameter:dim ~n !edges
 
 (* Connect a possibly-disconnected edge set by attaching every non-root
    component to a random node of the already-connected part. *)
@@ -93,8 +131,7 @@ let connect ~n ~rng edges =
   edges @ !extra
 
 let random_gnp ~n ~p ~rng =
-  if n < 2 then invalid_arg "Topology.random_gnp: n must be >= 2";
-  if p < 0. || p > 1. then invalid_arg "Topology.random_gnp: p out of range";
+  require "random_gnp" (Random_gnp (n, p));
   let edges = ref [] in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
@@ -104,7 +141,7 @@ let random_gnp ~n ~p ~rng =
   Graph.of_edges ~n (connect ~n ~rng !edges)
 
 let random_geometric ~n ~radius ~rng =
-  if n < 2 then invalid_arg "Topology.random_geometric: n must be >= 2";
+  require "random_geometric" (Random_geometric (n, radius));
   let pos =
     Array.init n (fun _ -> (Prng.float rng 1.0, Prng.float rng 1.0))
   in
@@ -119,18 +156,6 @@ let random_geometric ~n ~radius ~rng =
     done
   done;
   (Graph.of_edges ~n (connect ~n ~rng !edges), pos)
-
-type spec =
-  | Line of int
-  | Ring of int
-  | Grid of int * int
-  | Torus of int * int
-  | Complete of int
-  | Star of int
-  | Binary_tree of int
-  | Hypercube of int
-  | Random_gnp of int * float
-  | Random_geometric of int * float
 
 let build spec ~rng =
   match spec with
@@ -158,36 +183,34 @@ let spec_name = function
   | Random_geometric (n, r) -> Printf.sprintf "geometric:%d:%g" n r
 
 let spec_of_string s =
-  let fail () = Error (Printf.sprintf "unrecognized topology %S" s) in
-  let int_of s = int_of_string_opt s in
-  let float_of s = float_of_string_opt s in
-  match String.split_on_char ':' s with
-  | [ "line"; n ] -> (
-      match int_of n with Some n -> Ok (Line n) | None -> fail ())
-  | [ "ring"; n ] -> (
-      match int_of n with Some n -> Ok (Ring n) | None -> fail ())
-  | [ ("grid" | "torus") as kind; dims ] -> (
-      match String.split_on_char 'x' dims with
-      | [ r; c ] -> (
-          match (int_of r, int_of c) with
-          | Some r, Some c ->
-              if kind = "grid" then Ok (Grid (r, c)) else Ok (Torus (r, c))
-          | _ -> fail ())
-      | _ -> fail ())
-  | [ "complete"; n ] -> (
-      match int_of n with Some n -> Ok (Complete n) | None -> fail ())
-  | [ "star"; n ] -> (
-      match int_of n with Some n -> Ok (Star n) | None -> fail ())
-  | [ "btree"; d ] -> (
-      match int_of d with Some d -> Ok (Binary_tree d) | None -> fail ())
-  | [ "hypercube"; d ] -> (
-      match int_of d with Some d -> Ok (Hypercube d) | None -> fail ())
-  | [ "gnp"; n; p ] -> (
-      match (int_of n, float_of p) with
-      | Some n, Some p -> Ok (Random_gnp (n, p))
-      | _ -> fail ())
-  | [ "geometric"; n; r ] -> (
-      match (int_of n, float_of r) with
-      | Some n, Some r -> Ok (Random_geometric (n, r))
-      | _ -> fail ())
-  | _ -> fail ()
+  let int_of = int_of_string_opt and float_of = float_of_string_opt in
+  let int_spec make x = Option.map make (int_of x) in
+  let parsed =
+    match String.split_on_char ':' s with
+    | [ "line"; n ] -> int_spec (fun n -> Line n) n
+    | [ "ring"; n ] -> int_spec (fun n -> Ring n) n
+    | [ ("grid" | "torus") as kind; dims ] -> (
+        match List.map int_of (String.split_on_char 'x' dims) with
+        | [ Some r; Some c ] ->
+            Some (if kind = "grid" then Grid (r, c) else Torus (r, c))
+        | _ -> None)
+    | [ "complete"; n ] -> int_spec (fun n -> Complete n) n
+    | [ "star"; n ] -> int_spec (fun n -> Star n) n
+    | [ "btree"; d ] -> int_spec (fun d -> Binary_tree d) d
+    | [ "hypercube"; d ] -> int_spec (fun d -> Hypercube d) d
+    | [ "gnp"; n; p ] -> (
+        match (int_of n, float_of p) with
+        | Some n, Some p -> Some (Random_gnp (n, p))
+        | _ -> None)
+    | [ "geometric"; n; r ] -> (
+        match (int_of n, float_of r) with
+        | Some n, Some r -> Some (Random_geometric (n, r))
+        | _ -> None)
+    | _ -> None
+  in
+  match parsed with
+  | None -> Error (Printf.sprintf "unrecognized topology %S" s)
+  | Some spec -> (
+      match size_error spec with
+      | None -> Ok spec
+      | Some e -> Error (Printf.sprintf "topology %S: %s" s e))

@@ -2,38 +2,50 @@
 
     The Fan-Lynch lower bound lives on the line; the gradient property is
     probed across the other families (the grid models on-chip clock
-    distribution, random geometric graphs model wireless deployments). *)
+    distribution, random geometric graphs model wireless deployments).
+
+    Every deterministic family records its closed-form diameter on the
+    graph it builds, so {!Shortest_path.diameter} costs O(1) on it; the
+    random families leave it to one exact search on first use. Sizes below
+    a family's minimum raise [Invalid_argument]. *)
 
 val line : int -> Graph.t
-(** Path on [n >= 1] nodes: 0 - 1 - ... - n-1. Diameter n-1. *)
+(** Path on [n >= 1] nodes: 0 - 1 - ... - n-1. Diameter [n - 1]. *)
 
 val ring : int -> Graph.t
-(** Cycle on [n >= 3] nodes. Diameter floor(n/2). *)
+(** Cycle on [n >= 3] nodes. Diameter [n / 2]. *)
 
 val grid : rows:int -> cols:int -> Graph.t
-(** [rows * cols] grid; node (r, c) has index [r * cols + c]. *)
+(** [rows * cols] grid ([rows, cols >= 1]); node (r, c) has index
+    [r * cols + c]. Diameter [rows + cols - 2]. *)
 
 val torus : rows:int -> cols:int -> Graph.t
-(** Grid with wrap-around edges; requires [rows >= 3] and [cols >= 3]. *)
+(** Grid with wrap-around edges; requires [rows >= 3] and [cols >= 3].
+    Diameter [rows / 2 + cols / 2]. *)
 
 val complete : int -> Graph.t
+(** Complete graph on [n >= 2] nodes. Diameter 1. *)
+
 val star : int -> Graph.t
-(** Star with center 0 and [n - 1] leaves; requires [n >= 2]. *)
+(** Star with center 0 and [n - 1] leaves; requires [n >= 2]. Diameter 2
+    (1 when [n = 2]). *)
 
 val binary_tree : depth:int -> Graph.t
-(** Complete binary tree of the given depth (depth 0 is a single node). *)
+(** Complete binary tree of the given depth [>= 0] (depth 0 is a single
+    node). Diameter [2 * depth]. *)
 
 val hypercube : dim:int -> Graph.t
-(** [2^dim] nodes, edges between indices differing in one bit. *)
+(** [2^dim] nodes ([dim >= 1]), edges between indices differing in one
+    bit. Diameter [dim]. *)
 
 val random_gnp : n:int -> p:float -> rng:Gcs_util.Prng.t -> Graph.t
-(** Erdos-Renyi G(n, p), post-processed to be connected by linking each
+(** Erdos-Renyi G(n, p) ([n >= 2], [p] in [[0, 1]]), post-processed to be connected by linking each
     non-root component to a uniformly random node outside it. *)
 
 val random_geometric :
   n:int -> radius:float -> rng:Gcs_util.Prng.t -> Graph.t * (float * float) array
-(** [n] points uniform in the unit square, edges between pairs at Euclidean
-    distance at most [radius], connected the same way as {!random_gnp}.
+(** [n >= 2] points uniform in the unit square, edges between pairs at Euclidean
+    distance at most [radius > 0], connected the same way as {!random_gnp}.
     Returns the positions alongside the graph. *)
 
 type spec =
@@ -54,4 +66,6 @@ val build : spec -> rng:Gcs_util.Prng.t -> Graph.t
 
 val spec_name : spec -> string
 val spec_of_string : string -> (spec, string) result
-(** Parse e.g. ["line:64"], ["grid:8x8"], ["gnp:100:0.05"]. Used by the CLI. *)
+(** Parse e.g. ["line:64"], ["grid:8x8"], ["gnp:100:0.05"]. Used by the CLI.
+    A size that breaks the family's precondition (those of the
+    constructors above) is an [Error], not a later [Invalid_argument]. *)

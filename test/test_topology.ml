@@ -63,6 +63,37 @@ let test_hypercube () =
   Alcotest.(check int) "m" 32 (Graph.m g);
   Alcotest.(check int) "diameter" 4 (Shortest_path.diameter g)
 
+let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i)
+
+let test_closed_form_diameters () =
+  let check name g =
+    Alcotest.(check int) name
+      (Test_shortest_path.oracle_diameter g)
+      (Shortest_path.diameter g)
+  in
+  let sized name build sizes =
+    List.iter (fun k -> check (Printf.sprintf "%s:%d" name k) (build k)) sizes
+  in
+  let dims name build lo hi =
+    List.iter
+      (fun rows ->
+        List.iter
+          (fun cols ->
+            check
+              (Printf.sprintf "%s:%dx%d" name rows cols)
+              (build ~rows ~cols))
+          (range lo hi))
+      (range lo hi)
+  in
+  sized "line" Topology.line (range 1 12);
+  sized "ring" Topology.ring (range 3 12);
+  dims "grid" Topology.grid 1 7;
+  dims "torus" Topology.torus 3 7;
+  sized "complete" Topology.complete (range 2 8);
+  sized "star" Topology.star (range 2 9);
+  sized "btree" (fun depth -> Topology.binary_tree ~depth) (range 0 6);
+  sized "hypercube" (fun dim -> Topology.hypercube ~dim) (range 1 7)
+
 let test_random_gnp_connected =
   QCheck.Test.make ~name:"gnp post-processing yields connected graphs"
     ~count:50
@@ -110,7 +141,32 @@ let test_spec_rejects_garbage () =
       match Topology.spec_of_string s with
       | Ok _ -> Alcotest.fail ("accepted garbage: " ^ s)
       | Error _ -> ())
-    [ "nope"; "line"; "line:x"; "grid:3"; "gnp:10"; "" ]
+    [ "nope"; "line"; "line:x"; "grid:3"; "grid:3x4x5"; "gnp:10"; "" ]
+
+(* Sizes the constructors reject are typed parse errors, never a later
+   Invalid_argument; each family's smallest legal size still parses. *)
+let test_spec_size_errors () =
+  List.iter
+    (fun s ->
+      match Topology.spec_of_string s with
+      | Ok _ -> Alcotest.fail ("accepted out-of-range size: " ^ s)
+      | Error _ -> ())
+    [
+      "line:0"; "ring:1"; "ring:2"; "grid:0x3"; "grid:3x0"; "torus:2x3";
+      "torus:3x2"; "complete:1"; "star:1"; "btree:-1"; "hypercube:0";
+      "gnp:1:0.5"; "gnp:8:-0.1"; "gnp:8:1.5"; "gnp:8:nan"; "geometric:1:0.3";
+      "geometric:8:0"; "geometric:8:-0.2"; "geometric:8:nan";
+    ];
+  let rng = Prng.create ~seed:1 in
+  List.iter
+    (fun s ->
+      match Topology.spec_of_string s with
+      | Ok spec -> ignore (Topology.build spec ~rng)
+      | Error e -> Alcotest.fail e)
+    [
+      "line:1"; "ring:3"; "grid:1x1"; "torus:3x3"; "complete:2"; "star:2";
+      "btree:0"; "hypercube:1"; "gnp:2:0"; "gnp:2:1"; "geometric:2:0.01";
+    ]
 
 let test_build_matches_direct () =
   let rng = Prng.create ~seed:1 in
@@ -130,6 +186,9 @@ let suite =
     Alcotest.test_case "hypercube" `Quick test_hypercube;
     Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
     Alcotest.test_case "spec rejects garbage" `Quick test_spec_rejects_garbage;
+    Alcotest.test_case "spec size errors" `Quick test_spec_size_errors;
+    Alcotest.test_case "closed-form diameters = oracle" `Quick
+      test_closed_form_diameters;
     Alcotest.test_case "build" `Quick test_build_matches_direct;
     QCheck_alcotest.to_alcotest test_random_gnp_connected;
     QCheck_alcotest.to_alcotest test_random_geometric_connected;
