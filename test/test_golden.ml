@@ -111,19 +111,18 @@ let golden : (Algorithm.kind * Metrics.summary * int) list =
       1288 );
   ]
 
-let run_one algo =
+let spec = Spec.make ~kappa:0.5 ()
+
+let run_one ?override ?delay_kind ?fault_plan algo =
   let cfg =
-    Runner.config
-      ~spec:(Spec.make ~kappa:0.5 ())
-      ~algo
+    Runner.config ~spec ~algo ?override ?delay_kind ?fault_plan
       ~drift_of_node:(fun v ->
         if v < 4 then Drift.Extreme_high else Drift.Extreme_low)
       ~horizon:80. ~seed:7 (Topology.ring 8)
   in
   Runner.run cfg
 
-let check_algo (algo, expected, messages) () =
-  let r = run_one algo in
+let check_summary (r : Runner.result) expected messages =
   let s = r.Runner.summary in
   let f = Alcotest.(check (float 1e-9)) in
   f "max_global" expected.Metrics.max_global s.Metrics.max_global;
@@ -135,6 +134,119 @@ let check_algo (algo, expected, messages) () =
   Alcotest.(check int) "samples_used" expected.Metrics.samples_used
     s.Metrics.samples_used;
   Alcotest.(check int) "messages" messages r.Runner.messages
+
+let check_algo (algo, expected, messages) () =
+  check_summary (run_one algo) expected messages
+
+(* The gradient variants that are not registry kinds and run only through
+   [Runner.config ~override], pinned on the same config. They share the
+   neighbor-sync machinery of the registered gradient, so these rows pin
+   what that machinery does for the round-trip estimate source, per-port
+   flight guesses and kappas, and the external anchor's extra offset and
+   slowed base pace. With every edge's bounds equal to [spec.delay] the
+   per-edge kappa (2.16) is never reached on this ring, so that hetero row
+   equals the free-run row; the mixed row tightens the odd edges — the two
+   drift-split boundaries among them — so the per-port trigger engages. *)
+let hetero_mixed_bounds e =
+  if e mod 2 = 1 then Gcs_sim.Delay_model.bounds ~d_min:0.9 ~d_max:1.1
+  else spec.Spec.delay
+
+let variants : (string * (unit -> Runner.result) * Metrics.summary * int) list
+    =
+  [
+    ( "gradient-rtt",
+      (fun () ->
+        run_one ~override:Gcs_core.Gradient_rtt.algorithm
+          Algorithm.Gradient_sync),
+      {
+        Metrics.max_global = 0x1.4d7e38fe50c8p-1;
+        max_local = 0x1.ab4548d4d0ap-2;
+        mean_local = 0x1.303e5479ea303p-2;
+        p99_local = 0x1.a5206ba5b5fcdp-2;
+        final_global = 0x1.4d7e38fe50c8p-1;
+        final_local = 0x1.78199026e85p-2;
+        samples_used = 61;
+      },
+      2560 );
+    ( "gradient-hetero",
+      (fun () ->
+        run_one
+          ~override:
+            (Gcs_core.Gradient_hetero.algorithm ~edge_bounds:(fun _ ->
+                 spec.Spec.delay))
+          Algorithm.Gradient_sync),
+      {
+        Metrics.max_global = 0x1.999999999998p-1;
+        max_local = 0x1.999999999998p-1;
+        mean_local = 0x1.0000000000004p-1;
+        p99_local = 0x1.96872b020c4b3p-1;
+        final_global = 0x1.999999999998p-1;
+        final_local = 0x1.999999999998p-1;
+        samples_used = 61;
+      },
+      1288 );
+    ( "gradient-hetero (mixed edges)",
+      (fun () ->
+        run_one
+          ~override:
+            (Gcs_core.Gradient_hetero.algorithm
+               ~edge_bounds:hetero_mixed_bounds)
+          ~delay_kind:(Runner.Per_edge_delays hetero_mixed_bounds)
+          Algorithm.Gradient_sync),
+      {
+        Metrics.max_global = 0x1.999999999998p-1;
+        max_local = 0x1.0e7a82069c64p-1;
+        mean_local = 0x1.a3546ed3c28p-2;
+        p99_local = 0x1.0b68136f0f126p-1;
+        final_global = 0x1.999999999998p-1;
+        final_local = 0x1.d8fb647630fp-2;
+        samples_used = 61;
+      },
+      1288 );
+    ( "external-gradient",
+      (fun () ->
+        let anchors v =
+          if v = 0 then Some Gcs_core.External_sync.perfect_reference
+          else None
+        in
+        run_one
+          ~override:(Gcs_core.External_sync.algorithm ~anchors)
+          Algorithm.Gradient_sync),
+      {
+        Metrics.max_global = 0x1.2e40a76a11cp+0;
+        max_local = 0x1.3e22b567fb4p-1;
+        mean_local = 0x1.9173c362ee144p-2;
+        p99_local = 0x1.2ab3c44d5147fp-1;
+        final_global = 0x1.27ee666af95p+0;
+        final_local = 0x1.1dbf2390dff8p-1;
+        samples_used = 61;
+      },
+      1288 );
+  ]
+
+(* Recovery without a state wipe: the engine re-runs [on_init] on the live
+   handlers instead of rebuilding them, so this pins which per-node state
+   an algorithm allocates there (the faulted row below wipes, and so goes
+   through fresh handlers). *)
+let test_nowipe_recovery_pinned () =
+  let plan =
+    match Gcs_sim.Fault_plan.of_string "crash@50:node=5; recover@60:node=5" with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "non-wipe fault plan did not parse: %s" msg
+  in
+  let r = run_one ~fault_plan:plan Algorithm.Gradient_sync in
+  check_summary r
+    {
+      Metrics.max_global = 0x1.5be4f5b07588p-2;
+      max_local = 0x1.03f3f8eca018p-2;
+      mean_local = 0x1.7969b56b2a049p-3;
+      p99_local = 0x1.fb9e377b0af33p-3;
+      final_global = 0x1.430f8ad1fdep-2;
+      final_local = 0x1.e6a0f592b02p-3;
+      samples_used = 61;
+    }
+    1268;
+  Alcotest.(check int) "dropped_faults" 19 r.Runner.dropped_faults
 
 (* The same config under a standard fault battery (partition-heal, crash with
    state wipe, a corruption window), pinned like the rows above. This extends
@@ -362,7 +474,16 @@ let suite =
        test_byzantine_run_pinned
   :: Alcotest.test_case "churned run pinned: dynamic-gradient" `Quick
        test_churned_run_pinned
+  :: Alcotest.test_case "non-wipe recovery pinned: gradient" `Quick
+       test_nowipe_recovery_pinned
   :: List.map
+       (fun (name, run, expected, messages) ->
+         Alcotest.test_case
+           (Printf.sprintf "variant pinned: %s" name)
+           `Quick
+           (fun () -> check_summary (run ()) expected messages))
+       variants
+  @ List.map
        (fun ((algo, _, _) as row) ->
          Alcotest.test_case
            (Printf.sprintf "summary pinned: %s" (Algorithm.kind_name algo))
