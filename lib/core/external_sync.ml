@@ -1,7 +1,4 @@
-module Engine = Gcs_sim.Engine
 module Logical_clock = Gcs_clock.Logical_clock
-module Delay_model = Gcs_sim.Delay_model
-module Prng = Gcs_util.Prng
 
 type reference = { error : float -> float }
 
@@ -16,98 +13,30 @@ let noisy_reference ~bias ~wander ~period ~phase =
 
 let query r ~now = now +. r.error now
 
-let make_node ~anchors (ctx : Algorithm.ctx) v =
-  let lc = ctx.logical.(v) in
-  let spec = ctx.spec in
-  let period = spec.Spec.beacon_period in
-  let kappa = spec.Spec.kappa in
-  let fast_mult = 1. +. spec.Spec.mu in
-  (* The zeta-slowdown of the external-synchronization construction: every
-     node's default pace is deliberately below real time, so that the
-     virtual reference node is never the slowest clock and anchored nodes
-     can pull the whole network toward true time through the ordinary fast
-     trigger. *)
-  let base_mult = Float.max 0.5 (1. -. (spec.Spec.mu /. 2.)) in
-  let bounds = spec.Spec.delay in
-  let flight_guess =
-    0.5 *. (bounds.Delay_model.d_min +. bounds.Delay_model.d_max)
-  in
-  let anchor = anchors v in
-  let estimators = ref [||] in
-  let reference_offset () =
-    match anchor with
-    | None -> None
-    | Some r ->
-        let now = ctx.now () in
-        Some (Logical_clock.value lc ~now -. query r ~now)
-  in
-  let offsets_now (api : Message.t Engine.api) =
-    let h = api.hardware () in
-    let own = Logical_clock.value lc ~now:(ctx.now ()) in
-    let known = ref [] in
-    (match reference_offset () with
-    | Some o -> known := o :: !known
-    | None -> ());
-    Array.iter
-      (fun est ->
-        match Offset_estimator.offset ~max_age:spec.Spec.staleness_limit est
-                ~h_local:h ~own_value:own with
-        | Some o -> known := o :: !known
-        | None -> ())
-      !estimators;
-    Array.of_list !known
-  in
-  let evaluate (api : Message.t Engine.api) =
-    let offsets = offsets_now api in
-    let target =
-      if Gradient_sync.fast_trigger ~kappa ~offsets then fast_mult
-      else base_mult
-    in
-    if Logical_clock.mult lc <> target then
-      Logical_clock.set_mult lc ~now:(ctx.now ()) target
-  in
-  let broadcast (api : Message.t Engine.api) =
-    let value = Logical_clock.value lc ~now:(ctx.now ()) in
-    for port = 0 to api.ports - 1 do
-      api.send ~port (Message.Beacon { value })
-    done
-  in
-  let arm (api : Message.t Engine.api) ~tag delay =
-    api.set_timer ~h:(api.hardware () +. delay) ~tag
-  in
-  {
-    Engine.on_init =
-      (fun api ->
-        estimators := Array.init api.ports (fun _ -> Offset_estimator.create ());
-        Logical_clock.set_mult lc ~now:(ctx.now ()) base_mult;
-        arm api ~tag:Algorithm.timer_beacon (Prng.uniform api.rng ~lo:0. ~hi:period);
-        arm api ~tag:Algorithm.timer_recheck
-          (Prng.uniform api.rng ~lo:0. ~hi:(period /. 2.)));
-    on_message =
-      (fun api ~port msg ->
-        match msg with
-        | Message.Beacon { value } ->
-            Offset_estimator.update !estimators.(port)
-              ~h_local:(api.hardware ()) ~remote_value:value
-              ~elapsed_guess:flight_guess;
-            evaluate api
-        | Message.Probe _ | Message.Probe_reply _ | Message.Flood _
-        | Message.Report _ | Message.Reset _ ->
-            ());
-    on_timer =
-      (fun api ~tag ->
-        if tag = Algorithm.timer_beacon then begin
-          broadcast api;
-          arm api ~tag:Algorithm.timer_beacon period
-        end
-        else if tag = Algorithm.timer_recheck then begin
-          evaluate api;
-          arm api ~tag:Algorithm.timer_recheck (period /. 2.)
-        end);
-  }
-
 let algorithm ~anchors =
   {
     Algorithm.name = "external-gradient";
-    prepare = (fun ctx v -> make_node ~anchors ctx v);
+    prepare =
+      (fun ctx ->
+        let spec = ctx.spec in
+        (* The zeta-slowdown of the external-synchronization construction:
+           every node's default pace is deliberately below real time, so
+           that the virtual reference node is never the slowest clock and
+           anchored nodes can pull the whole network toward true time
+           through the ordinary fast trigger. *)
+        let base_mult = Float.max 0.5 (1. -. (spec.mu /. 2.)) in
+        let source = Neighbor_sync.beacon spec in
+        let fast ~ports:_ offsets =
+          Gradient_sync.fast_trigger ~kappa:spec.kappa ~offsets
+        in
+        fun v ->
+          let lc = ctx.logical.(v) in
+          let reference =
+            Option.map
+              (fun r () ->
+                let now = ctx.now () in
+                Logical_clock.value lc ~now -. query r ~now)
+              (anchors v)
+          in
+          Neighbor_sync.node ~base_mult ?reference ~source ~fast ctx v);
   }

@@ -1,8 +1,3 @@
-module Engine = Gcs_sim.Engine
-module Logical_clock = Gcs_clock.Logical_clock
-module Delay_model = Gcs_sim.Delay_model
-module Prng = Gcs_util.Prng
-
 (* Two-stage estimate filter.
 
    Stage 1 *discards* every estimate outside the plausibility window
@@ -31,11 +26,17 @@ module Prng = Gcs_util.Prng
    anything at all. *)
 let filter_offsets ~f ~kappa offsets =
   let w = float_of_int ((2 * f) + 1) *. kappa in
-  let kept =
-    List.filter (fun o -> Float.abs o <= w) (Array.to_list offsets)
-  in
-  let kept = Array.of_list kept in
-  let n = Array.length kept in
+  let kept = Array.make (Array.length offsets) 0. in
+  let n = ref 0 in
+  for i = 0 to Array.length offsets - 1 do
+    let o = offsets.(i) in
+    if Float.abs o <= w then begin
+      kept.(!n) <- o;
+      incr n
+    end
+  done;
+  let n = !n in
+  let kept = if n = Array.length kept then kept else Array.sub kept 0 n in
   let t = max 0 (min f ((n - (2 * f) - 1) / 2)) in
   if t = 0 then kept
   else begin
@@ -43,80 +44,16 @@ let filter_offsets ~f ~kappa offsets =
     Array.sub kept t (n - (2 * t))
   end
 
-let make_node ~f (ctx : Algorithm.ctx) v =
-  let lc = ctx.logical.(v) in
-  let spec = ctx.spec in
-  let period = spec.beacon_period in
-  let kappa = spec.kappa in
-  let fast_mult = 1. +. spec.mu in
-  let bounds = spec.delay in
-  let flight_guess =
-    0.5 *. (bounds.Delay_model.d_min +. bounds.Delay_model.d_max)
-  in
-  let estimators = ref [||] in
-  let offsets_now (api : Message.t Engine.api) =
-    let h = api.hardware () in
-    let own = Logical_clock.value lc ~now:(ctx.now ()) in
-    let known = ref [] in
-    Array.iter
-      (fun est ->
-        match Offset_estimator.offset ~max_age:spec.Spec.staleness_limit est
-                ~h_local:h ~own_value:own with
-        | Some o -> known := o :: !known
-        | None -> ())
-      !estimators;
-    Array.of_list !known
-  in
-  let evaluate (api : Message.t Engine.api) =
-    let offsets = filter_offsets ~f ~kappa (offsets_now api) in
-    let target =
-      if Gradient_sync.fast_trigger ~kappa ~offsets then fast_mult else 1.
-    in
-    if Logical_clock.mult lc <> target then
-      Logical_clock.set_mult lc ~now:(ctx.now ()) target
-  in
-  let broadcast (api : Message.t Engine.api) =
-    let value = Logical_clock.value lc ~now:(ctx.now ()) in
-    for port = 0 to api.ports - 1 do
-      api.send ~port (Message.Beacon { value })
-    done
-  in
-  let arm (api : Message.t Engine.api) ~tag delay =
-    api.set_timer ~h:(api.hardware () +. delay) ~tag
-  in
-  {
-    Engine.on_init =
-      (fun api ->
-        estimators := Array.init api.ports (fun _ -> Offset_estimator.create ());
-        arm api ~tag:Algorithm.timer_beacon (Prng.uniform api.rng ~lo:0. ~hi:period);
-        arm api ~tag:Algorithm.timer_recheck
-          (Prng.uniform api.rng ~lo:0. ~hi:(period /. 2.)));
-    on_message =
-      (fun api ~port msg ->
-        match msg with
-        | Message.Beacon { value } ->
-            Offset_estimator.update !estimators.(port)
-              ~h_local:(api.hardware ()) ~remote_value:value
-              ~elapsed_guess:flight_guess;
-            evaluate api
-        | Message.Probe _ | Message.Probe_reply _ | Message.Flood _
-        | Message.Report _ | Message.Reset _ ->
-            ());
-    on_timer =
-      (fun api ~tag ->
-        if tag = Algorithm.timer_beacon then begin
-          broadcast api;
-          arm api ~tag:Algorithm.timer_beacon period
-        end
-        else if tag = Algorithm.timer_recheck then begin
-          evaluate api;
-          arm api ~tag:Algorithm.timer_recheck (period /. 2.)
-        end);
-  }
-
 let algorithm f =
   if f < 0 then invalid_arg "Ft_gradient.algorithm: f must be >= 0";
   {
     Algorithm.name = Printf.sprintf "ft-gradient-%d" f;
-    prepare = make_node ~f;
+    prepare =
+      (fun ctx ->
+        let kappa = ctx.spec.kappa in
+        Neighbor_sync.node ~source:(Neighbor_sync.beacon ctx.spec)
+          ~fast:(fun ~ports:_ offsets ->
+            Gradient_sync.fast_trigger ~kappa
+              ~offsets:(filter_offsets ~f ~kappa offsets))
+          ctx);
   }

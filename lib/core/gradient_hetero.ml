@@ -1,8 +1,5 @@
-module Engine = Gcs_sim.Engine
-module Logical_clock = Gcs_clock.Logical_clock
 module Delay_model = Gcs_sim.Delay_model
 module Graph = Gcs_graph.Graph
-module Prng = Gcs_util.Prng
 
 let fast_trigger_hetero ~kappas ~offsets =
   let n = Array.length offsets in
@@ -44,23 +41,16 @@ let fast_trigger_hetero ~kappas ~offsets =
   end
 
 let make_node ~edge_bounds (ctx : Algorithm.ctx) v =
-  let lc = ctx.logical.(v) in
   let spec = ctx.spec in
-  let period = spec.Spec.beacon_period in
-  let fast_mult = 1. +. spec.Spec.mu in
-  let ports = Graph.degree ctx.graph v in
   let port_bounds =
-    Array.init ports (fun p -> edge_bounds (Graph.edge_at_port ctx.graph v p))
+    Array.init (Graph.degree ctx.graph v) (fun p ->
+        edge_bounds (Graph.edge_at_port ctx.graph v p))
   in
   let port_kappa =
     Array.map
       (fun b ->
-        let u = Delay_model.uncertainty b in
-        let k =
-          Spec.default_kappa ~u ~rho:spec.Spec.rho
-            ~beacon_period:spec.Spec.beacon_period
-        in
-        if k > 0. then k else 1e-6)
+        Spec.default_kappa ~u:(Delay_model.uncertainty b) ~rho:spec.Spec.rho
+          ~beacon_period:spec.Spec.beacon_period)
       port_bounds
   in
   let port_guess =
@@ -68,68 +58,12 @@ let make_node ~edge_bounds (ctx : Algorithm.ctx) v =
       (fun b -> 0.5 *. (b.Delay_model.d_min +. b.Delay_model.d_max))
       port_bounds
   in
-  let estimators = Array.init ports (fun _ -> Offset_estimator.create ()) in
-  let evaluate (api : Message.t Engine.api) =
-    let h = api.hardware () in
-    let own = Logical_clock.value lc ~now:(ctx.now ()) in
-    let known_offsets = ref [] and known_kappas = ref [] in
-    Array.iteri
-      (fun p est ->
-        match Offset_estimator.offset ~max_age:spec.Spec.staleness_limit est
-                ~h_local:h ~own_value:own with
-        | Some o ->
-            known_offsets := o :: !known_offsets;
-            known_kappas := port_kappa.(p) :: !known_kappas
-        | None -> ())
-      estimators;
-    let offsets = Array.of_list !known_offsets in
-    let kappas = Array.of_list !known_kappas in
-    let target =
-      if fast_trigger_hetero ~kappas ~offsets then fast_mult else 1.
-    in
-    if Logical_clock.mult lc <> target then
-      Logical_clock.set_mult lc ~now:(ctx.now ()) target
-  in
-  let broadcast (api : Message.t Engine.api) =
-    let value = Logical_clock.value lc ~now:(ctx.now ()) in
-    for port = 0 to api.ports - 1 do
-      api.send ~port (Message.Beacon { value })
-    done
-  in
-  let arm (api : Message.t Engine.api) ~tag delay =
-    api.set_timer ~h:(api.hardware () +. delay) ~tag
-  in
-  {
-    Engine.on_init =
-      (fun api ->
-        arm api ~tag:Algorithm.timer_beacon (Prng.uniform api.rng ~lo:0. ~hi:period);
-        arm api ~tag:Algorithm.timer_recheck
-          (Prng.uniform api.rng ~lo:0. ~hi:(period /. 2.)));
-    on_message =
-      (fun api ~port msg ->
-        match msg with
-        | Message.Beacon { value } ->
-            Offset_estimator.update estimators.(port)
-              ~h_local:(api.hardware ()) ~remote_value:value
-              ~elapsed_guess:port_guess.(port);
-            evaluate api
-        | Message.Probe _ | Message.Probe_reply _ | Message.Flood _
-        | Message.Report _ | Message.Reset _ ->
-            ());
-    on_timer =
-      (fun api ~tag ->
-        if tag = Algorithm.timer_beacon then begin
-          broadcast api;
-          arm api ~tag:Algorithm.timer_beacon period
-        end
-        else if tag = Algorithm.timer_recheck then begin
-          evaluate api;
-          arm api ~tag:Algorithm.timer_recheck (period /. 2.)
-        end);
-  }
+  Neighbor_sync.node
+    ~source:(Neighbor_sync.Beacon (fun p -> port_guess.(p)))
+    ~fast:(fun ~ports offsets ->
+      let kappas = Array.mapi (fun i _ -> port_kappa.(ports.(i))) offsets in
+      fast_trigger_hetero ~kappas ~offsets)
+    ctx v
 
 let algorithm ~edge_bounds =
-  {
-    Algorithm.name = "gradient-hetero";
-    prepare = (fun ctx v -> make_node ~edge_bounds ctx v);
-  }
+  { Algorithm.name = "gradient-hetero"; prepare = make_node ~edge_bounds }

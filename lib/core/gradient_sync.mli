@@ -21,7 +21,8 @@
     Estimates are refreshed by periodic beacons and the trigger is
     re-evaluated on every beacon arrival plus on a half-period re-check
     timer (estimates extrapolate between beacons, so a trigger can flip
-    without a message arriving). *)
+    without a message arriving). That loop is {!Neighbor_sync}'s; this
+    module supplies its midpoint beacons and [fast_trigger]. *)
 
 val algorithm : Algorithm.t
 

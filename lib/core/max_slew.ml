@@ -1,71 +1,11 @@
-module Engine = Gcs_sim.Engine
-module Logical_clock = Gcs_clock.Logical_clock
-module Delay_model = Gcs_sim.Delay_model
-module Prng = Gcs_util.Prng
-
-let make_node (ctx : Algorithm.ctx) v =
-  let lc = ctx.logical.(v) in
-  let spec = ctx.spec in
-  let period = spec.Spec.beacon_period in
-  let threshold = Spec.estimate_error_bound spec in
-  let fast_mult = 1. +. spec.Spec.mu in
-  let bounds = spec.Spec.delay in
-  let flight_guess =
-    0.5 *. (bounds.Delay_model.d_min +. bounds.Delay_model.d_max)
-  in
-  let estimators = ref [||] in
-  let evaluate (api : Message.t Engine.api) =
-    let h = api.hardware () in
-    let own = Logical_clock.value lc ~now:(ctx.now ()) in
-    let behind = ref false in
-    Array.iter
-      (fun est ->
-        match Offset_estimator.offset ~max_age:spec.Spec.staleness_limit est
-                ~h_local:h ~own_value:own with
-        | Some o when -.o > threshold -> behind := true
-        | Some _ | None -> ())
-      !estimators;
-    let target = if !behind then fast_mult else 1. in
-    if Logical_clock.mult lc <> target then
-      Logical_clock.set_mult lc ~now:(ctx.now ()) target
-  in
-  let broadcast (api : Message.t Engine.api) =
-    let value = Logical_clock.value lc ~now:(ctx.now ()) in
-    for port = 0 to api.ports - 1 do
-      api.send ~port (Message.Beacon { value })
-    done
-  in
-  let arm (api : Message.t Engine.api) ~tag delay =
-    api.set_timer ~h:(api.hardware () +. delay) ~tag
-  in
+let algorithm =
   {
-    Engine.on_init =
-      (fun api ->
-        estimators := Array.init api.ports (fun _ -> Offset_estimator.create ());
-        arm api ~tag:Algorithm.timer_beacon (Prng.uniform api.rng ~lo:0. ~hi:period);
-        arm api ~tag:Algorithm.timer_recheck
-          (Prng.uniform api.rng ~lo:0. ~hi:(period /. 2.)));
-    on_message =
-      (fun api ~port msg ->
-        match msg with
-        | Message.Beacon { value } ->
-            Offset_estimator.update !estimators.(port)
-              ~h_local:(api.hardware ()) ~remote_value:value
-              ~elapsed_guess:flight_guess;
-            evaluate api
-        | Message.Probe _ | Message.Probe_reply _ | Message.Flood _
-        | Message.Report _ | Message.Reset _ ->
-            ());
-    on_timer =
-      (fun api ~tag ->
-        if tag = Algorithm.timer_beacon then begin
-          broadcast api;
-          arm api ~tag:Algorithm.timer_beacon period
-        end
-        else if tag = Algorithm.timer_recheck then begin
-          evaluate api;
-          arm api ~tag:Algorithm.timer_recheck (period /. 2.)
-        end);
+    Algorithm.name = "max-slew";
+    prepare =
+      (fun ctx ->
+        let threshold = Spec.estimate_error_bound ctx.spec in
+        let behind o = -.o > threshold in
+        Neighbor_sync.node ~source:(Neighbor_sync.beacon ctx.spec)
+          ~fast:(fun ~ports:_ offsets -> Array.exists behind offsets)
+          ctx);
   }
-
-let algorithm = { Algorithm.name = "max-slew"; prepare = make_node }

@@ -21,7 +21,10 @@ let estimate_error_bound_of ~u ~rho ~beacon_period ~d_max =
 let default_kappa ~u ~rho ~beacon_period =
   (* Error per estimate, doubled for the two estimates a condition compares,
      and doubled again for slack between the fast and slow thresholds. *)
-  4. *. estimate_error_bound_of ~u ~rho ~beacon_period ~d_max:(2. *. u)
+  let k = 4. *. estimate_error_bound_of ~u ~rho ~beacon_period ~d_max:(2. *. u) in
+  (* A zero-uncertainty, zero-drift instance still needs a positive
+     quantum for the trigger arithmetic. *)
+  if k > 0. then k else 1e-6
 
 let estimate_error_bound t =
   estimate_error_bound_of ~u:(uncertainty t) ~rho:t.rho
@@ -48,11 +51,7 @@ let make ?(rho = 0.01) ?(mu = 0.1) ?(d_min = 0.5) ?(d_max = 1.5)
   let kappa =
     match kappa with
     | Some k -> k
-    | None ->
-        let k = default_kappa ~u ~rho ~beacon_period in
-        (* A zero-uncertainty, zero-drift instance still needs a positive
-           quantum for the trigger arithmetic. *)
-        if k > 0. then k else 1e-6
+    | None -> default_kappa ~u ~rho ~beacon_period
   in
   let staleness_limit =
     match staleness_limit with

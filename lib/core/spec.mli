@@ -52,9 +52,12 @@ val sigma : t -> float
 
 val default_kappa : u:float -> rho:float -> beacon_period:float -> float
 (** The smallest safe skew quantum: one-way beacon estimates carry error at
-    most [u / 2] from delay uncertainty plus [rho * (beacon_period + d_max)]
-    from drift during extrapolation; the conditions of the gradient
-    algorithm need a separation of four estimate errors. *)
+    most [u / 2] from delay uncertainty plus
+    [rho * (2 * beacon_period + d_max)] from drift during extrapolation,
+    taken here with [d_max = 2u]; the conditions of the gradient
+    algorithm need a separation of four estimate errors. When that is 0
+    ([u = 0] and [rho = 0]) it returns [1e-6] instead, because the trigger
+    arithmetic divides by the quantum. *)
 
 val estimate_error_bound : t -> float
 (** Worst-case error of one beacon-based offset estimate under this spec. *)

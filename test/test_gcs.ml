@@ -38,6 +38,7 @@ let () =
       ("core.gradient_rtt", Test_gradient_rtt.suite);
       ("core.stabilize", Test_stabilize.suite);
       ("core.external_sync", Test_external_sync.suite);
+      ("core.neighbor_sync", Test_neighbor_sync.suite);
       ("adversary", Test_adversary.suite);
       ("adversary.churn", Test_churn.suite);
       ("adversary.search", Test_search.suite);

@@ -99,6 +99,39 @@ let test_runs_on_any_topology () =
   let r = Runner.run cfg in
   check "sane skew" true (r.Runner.summary.Metrics.max_local < 10.)
 
+let test_uniform_edges_match_gradient () =
+  (* With every edge's bounds equal to the spec's delay band, each per-edge
+     kappa and flight guess equals the spec's own, so the hetero variant
+     must reproduce the plain gradient bit for bit — also across a crash
+     shorter than the staleness limit and recovered without a wipe, where
+     the estimators are reallocated by the re-run [on_init]. *)
+  let spec = Spec.make ~d_min:0.9 ~d_max:1.1 () in
+  let plan =
+    match Gcs_sim.Fault_plan.of_string "crash@50:node=5; recover@52:node=5" with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
+  let run ?override () =
+    let cfg =
+      Runner.config ~spec ~algo:Algorithm.Gradient_sync ?override
+        ~fault_plan:plan
+        ~drift_of_node:(fun v ->
+          if v < 4 then Gcs_clock.Drift.Extreme_high
+          else Gcs_clock.Drift.Extreme_low)
+        ~horizon:80. ~seed:7 (Topology.ring 8)
+    in
+    Runner.run cfg
+  in
+  let plain = run () in
+  let hetero =
+    run ~override:(Gh.algorithm ~edge_bounds:(fun _ -> spec.Spec.delay)) ()
+  in
+  check "skew engages the trigger" true
+    (plain.Runner.summary.Metrics.max_local > spec.Spec.kappa);
+  check "same summary" true (plain.Runner.summary = hetero.Runner.summary);
+  Alcotest.(check int) "same messages" plain.Runner.messages
+    hetero.Runner.messages
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -108,5 +141,7 @@ let suite =
     Alcotest.test_case "good edges insulated" `Quick test_good_edges_insulated;
     Alcotest.test_case "bad edge localized" `Quick test_bad_edge_cost_localized;
     Alcotest.test_case "any topology" `Quick test_runs_on_any_topology;
+    Alcotest.test_case "uniform edges = gradient" `Quick
+      test_uniform_edges_match_gradient;
     QCheck_alcotest.to_alcotest test_uniform_kappas_match_homogeneous;
   ]

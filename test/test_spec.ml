@@ -22,6 +22,19 @@ let test_zero_uncertainty_kappa_positive () =
   let s = Spec.make ~rho:0. ~d_min:1. ~d_max:1. () in
   Alcotest.(check bool) "kappa still positive" true (s.Spec.kappa > 0.)
 
+let test_default_kappa_clamp () =
+  (* u = 0 and rho = 0 leave no estimate error: the quantum is clamped to a
+     small positive value. Any u > 0 gives the formula's own value. *)
+  Alcotest.(check (float 0.)) "u = 0, rho = 0" 1e-6
+    (Spec.default_kappa ~u:0. ~rho:0. ~beacon_period:1.);
+  Alcotest.(check (float 0.)) "u = 1"
+    (4. *. (0.5 +. (0.01 *. ((2. *. 1.) +. 2.))))
+    (Spec.default_kappa ~u:1. ~rho:0.01 ~beacon_period:1.);
+  Alcotest.(check (float 0.)) "u = 0.2, rho = 0" (4. *. 0.1)
+    (Spec.default_kappa ~u:0.2 ~rho:0. ~beacon_period:1.);
+  Alcotest.(check (float 0.)) "make uses it" 1e-6
+    (Spec.make ~rho:0. ~d_min:1. ~d_max:1. ()).Spec.kappa
+
 let test_validation_failures () =
   let expect_invalid f =
     match f () with
@@ -69,6 +82,7 @@ let suite =
     Alcotest.test_case "kappa dominates error" `Quick test_kappa_dominates_estimate_error;
     Alcotest.test_case "sigma infinite" `Quick test_sigma_infinite_when_perfect;
     Alcotest.test_case "zero-u kappa" `Quick test_zero_uncertainty_kappa_positive;
+    Alcotest.test_case "default kappa clamp" `Quick test_default_kappa_clamp;
     Alcotest.test_case "validation failures" `Quick test_validation_failures;
     Alcotest.test_case "validate ok" `Quick test_validate_ok;
     Alcotest.test_case "error grows with u" `Quick test_estimate_error_grows_with_u;
