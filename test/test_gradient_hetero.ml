@@ -103,8 +103,7 @@ let test_uniform_edges_match_gradient () =
   (* With every edge's bounds equal to the spec's delay band, each per-edge
      kappa and flight guess equals the spec's own, so the hetero variant
      must reproduce the plain gradient bit for bit — also across a crash
-     shorter than the staleness limit and recovered without a wipe, where
-     the estimators are reallocated by the re-run [on_init]. *)
+     shorter than the staleness limit and recovered without a wipe. *)
   let spec = Spec.make ~d_min:0.9 ~d_max:1.1 () in
   let plan =
     match Gcs_sim.Fault_plan.of_string "crash@50:node=5; recover@52:node=5" with
