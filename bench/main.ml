@@ -1436,9 +1436,10 @@ let e23 () =
   end
 
 (* E24: explorer throughput and exhaustiveness. The gcs.explore model
-   checker re-simulates every decision-trace prefix from time zero, so its
-   cost is (prefixes x mean run cost); this experiment reports prefixes
-   per second on the two golden instances with dedup off and on, and
+   checker checks every decision-trace prefix, forking each child from a
+   snapshot of its parent paused just before the segment boundary, so its
+   cost is (prefixes x (one segment + one fork)); this experiment reports
+   prefixes per second on the golden instances with dedup off and on, and
    cross-checks the exact visited/execution counts the proof claim rests
    on (they are pinned in the tier-1 test suite). *)
 let e24 () =
@@ -1456,15 +1457,31 @@ let e24 () =
         Instance.make (), false, 84, 64 );
       ( "ring:3/extreme/d3 +dedup",
         Instance.make (), true, 52, 32 );
+      ( "ring:3/extreme/d6",
+        Instance.make ~depth:6 (), false, 5460, 4096 );
     |]
   in
   let failed = ref false in
   let rows =
     Array.to_list instances
     |> List.map (fun (name, inst, dedup, want_visited, want_execs) ->
-           let t0 = Unix.gettimeofday () in
-           let o = Explorer.explore ~dedup inst in
-           let wall = Unix.gettimeofday () -. t0 in
+           (* A depth-3 pass takes milliseconds, where first-call costs
+              (the code digest behind Marshal's closure support, heap
+              growth) and timer noise would dominate one sample: report
+              the median of at least 3 passes and 0.3 s. *)
+           let pass () =
+             let t0 = Unix.gettimeofday () in
+             let o = Explorer.explore ~dedup inst in
+             (o, Unix.gettimeofday () -. t0)
+           in
+           let o, first = pass () in
+           let rec more walls total =
+             if List.length walls >= 3 && total >= 0.3 then walls
+             else
+               let _, w = pass () in
+               more (w :: walls) (total +. w)
+           in
+           let wall = Stats.median (Array.of_list (more [ first ] first)) in
            let s = o.Explorer.stats in
            let proved = o.Explorer.verdict = Explorer.Proved in
            let counts_ok =
@@ -1491,7 +1508,7 @@ let e24 () =
            ])
   in
   print_table ~name:"e24_explore_throughput"
-    ~title:"exhaustive enumeration, one pass per instance"
+    ~title:"exhaustive enumeration, median pass per instance"
     ~columns:
       [
         Table.column ~align:Table.Left "instance";

@@ -2104,7 +2104,10 @@ let explore_cmd =
           ~alphabet ?fault_plan:plan ~monitor ()
       with Invalid_argument msg -> or_die (Error msg)
     in
-    let outcome = Explorer.explore ~dedup ~quantum ~max_states ~strategy inst in
+    let outcome =
+      try Explorer.explore ~dedup ~quantum ~max_states ~strategy inst
+      with Invalid_argument msg -> or_die (Error msg)
+    in
     let stats = outcome.Explorer.stats in
     if json then print_endline (Verdict.to_json inst outcome)
     else begin

@@ -51,13 +51,17 @@ let default_config ?(spec = Spec.make ()) ?(algo = Algorithm.Gradient_sync)
   in
   { spec; n; algo; segments; segment_len; beam; seed }
 
-(* Wire a move sequence into a prepared run: the delay chooser follows the
+(* Wire a move schedule into a prepared run: the delay chooser follows the
    current move's bias, and each segment boundary re-splits the node set
-   into a fast and a slow half. Everything the moves need (spec, node
-   count) comes from the live run's own config, so the same installer
-   drives both the beam search and counterexample replay/shrinking
-   (Gcs_check), where the run config was rebuilt from a store key. *)
-let install (live : Runner.live) ~segment_len plan =
+   into a fast and a slow half. Boundary [i]'s control reads its move from
+   [slots.(i)] when it fires, so a caller may fill the slots while the run
+   is paused (the explorer does, in each fork); an empty slot leaves the
+   run untouched, since [set_node_rate] re-keys timers even when no rate
+   changes. Everything the moves need (spec, node count) comes from the
+   live run's own config, so the same installer drives the beam search,
+   the explorer and counterexample replay/shrinking (Gcs_check), where
+   the run config was rebuilt from a store key. *)
+let install (live : Runner.live) ~segment_len slots =
   let rc = live.Runner.cfg in
   let spec = rc.Runner.spec in
   let n = Gcs_graph.Graph.n rc.Runner.graph in
@@ -86,12 +90,14 @@ let install (live : Runner.live) ~segment_len plan =
         ~rate:(if fast then Spec.vartheta spec else 1.)
     done
   in
-  List.iteri
-    (fun i move ->
+  Array.iteri
+    (fun i _ ->
       Engine.schedule_control live.Runner.engine
         ~at:(float_of_int i *. segment_len)
-        (fun () -> apply_move move))
-    plan
+        (fun () -> Option.iter apply_move slots.(i)))
+    slots
+
+let slots plan = Array.of_list (List.map Option.some plan)
 
 (* Play a move sequence deterministically and return (local, global) skew
    maxima over the final segment. With a fault plan carrying Byzantine
@@ -109,7 +115,7 @@ let evaluate ?fault_plan cfg plan =
       ~warmup:0. ~seed:cfg.seed ?fault_plan graph
   in
   let live = Runner.prepare run_cfg in
-  install live ~segment_len:cfg.segment_len plan;
+  install live ~segment_len:cfg.segment_len (slots plan);
   let result = Runner.complete live in
   let tail_start = horizon -. cfg.segment_len in
   let byzantine =

@@ -7,8 +7,8 @@
     and how message delays are biased), and a beam search over move
     sequences maximizes the local skew the algorithm ends up with.
 
-    Because the engine cannot snapshot mid-run, every candidate prefix is
-    re-simulated from time zero — determinism makes that exact. The search
+    Every candidate prefix is re-simulated from time zero — determinism
+    makes that exact. The search
     is exhaustive when the beam is wide enough ([beam >= moves^segments]),
     and a beam-limited heuristic otherwise.
 
@@ -57,13 +57,20 @@ val default_config :
   config
 (** Defaults: 6 segments of [4 * n * d_max] each, beam 12. *)
 
-val install : Gcs_core.Runner.live -> segment_len:float -> move list -> unit
-(** Wire a move sequence into a prepared run (built with
+val install :
+  Gcs_core.Runner.live -> segment_len:float -> move option array -> unit
+(** Wire a move schedule into a prepared run (built with
     [Controlled_delays]): installs the bias-following delay chooser and
-    schedules each move's fast-half rate split at its segment boundary.
-    Node count and spec come from the live run's own config, so the same
-    installer serves the beam search and counterexample replay
+    one control per slot, at [i * segment_len] for slot [i], that applies
+    the slot's move (its fast-half rate split and delay bias) when it
+    fires. The control reads the slot at that moment, so slots may be
+    filled while the run is paused; an empty slot is a no-op. Node count
+    and spec come from the live run's own config, so the same installer
+    serves the beam search, the explorer and counterexample replay
     ([Gcs_check]), where the config was rebuilt from a store key. *)
+
+val slots : move list -> move option array
+(** A full slot array: move [i] in slot [i]. *)
 
 val evaluate :
   ?fault_plan:Gcs_sim.Fault_plan.t -> config -> move list -> float * float

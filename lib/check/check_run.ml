@@ -68,7 +68,7 @@ let run ?monitor ?(moves = []) ?(segment_len = 0.) (cfg : Runner.config) =
     | None -> default_spec cfg.Runner.spec cfg.Runner.algo
   in
   let live = Runner.prepare cfg in
-  if moves <> [] then Search.install live ~segment_len moves;
+  if moves <> [] then Search.install live ~segment_len (Search.slots moves);
   let m = Monitor.attach mspec live in
   let result = Runner.complete live in
   let violation = Monitor.finalize m in

@@ -6,7 +6,8 @@ module Hardware_clock = Gcs_clock.Hardware_clock
 module Graph = Gcs_graph.Graph
 
 let state ?(quantum = 1e-9) (live : Runner.live) =
-  if quantum <= 0. then invalid_arg "Canon.state: quantum must be > 0";
+  if not (Float.is_finite quantum && quantum > 0.) then
+    invalid_arg "Canon.state: quantum must be finite and > 0";
   (* %.0f keeps full integer precision beyond the int63 range, so a tiny
      quantum cannot silently wrap the quantized values. *)
   let q x = Printf.sprintf "%.0f" (Float.round (x /. quantum)) in

@@ -18,5 +18,6 @@
 
 val state : ?quantum:float -> Gcs_core.Runner.live -> string
 (** Render the live run's current state canonically. [quantum] (default
-    [1e-9]) is the clock-value quantization step. The engine is not
+    [1e-9]) is the clock-value quantization step; raises
+    [Invalid_argument] unless it is finite and > 0. The engine is not
     modified; cost is O(queue size x log queue size). *)

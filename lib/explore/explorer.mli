@@ -2,12 +2,23 @@
 
     The explorer walks the decision tree of an {!Instance.t}: every node
     of the tree is a decision trace (a prefix), every leaf at the
-    instance's depth is a complete execution. The engine cannot snapshot
-    mid-run, so each prefix is re-simulated deterministically from time
-    zero — the same inherently iterative-deepening shape as the adversary
-    beam search, but exhaustive. Every prefix (not just leaves) runs under
-    the instance's monitor, so a violation is reported at the shallowest
-    depth that exhibits it, in deterministic exploration order.
+    instance's depth is a complete execution. Every prefix (not just
+    leaves) runs under the instance's monitor, so a violation is reported
+    at the shallowest depth that exhibits it, in deterministic exploration
+    order.
+
+    Prefixes share their common past: the explorer builds one full-depth
+    run whose segment controls read their moves from mutable slots, pauses
+    it just before each segment boundary, and forks the paused run (run,
+    monitor and slots copied together with [Marshal] and [Closures]) once
+    per child. Each decision segment is therefore simulated once per
+    prefix, not once per prefix per ancestor. A prefix's verdict is its
+    fork run through its last boundary and flushed, which equals
+    {!simulate} of the same trace (the test suite holds the two equal
+    against a re-simulating oracle). The fork needs a run with no capture
+    sinks, a serial engine and no channel reachable from it, which every
+    key-described run is. At most [depth + 1] paused runs are kept, in one
+    buffer reused for the whole call.
 
     Memoization ([dedup]) prunes subtrees whose canonicalized engine state
     ({!Canon.state}) at the same remaining depth was already expanded. It
@@ -55,14 +66,16 @@ type simulated = {
 }
 
 val simulate : Instance.t -> Choice.trace -> (simulated, string) result
-(** Deterministically re-simulate one prefix from time zero: rebuild the
+(** The reference run of one prefix, simulated from time zero: rebuild the
     config from {!Instance.key} at the trace's depth, force controlled
     delays, install the trace as an adversary move sequence, attach the
     instance's monitor, run, flush. This is exactly the
     [Gcs_check.Check_run.run] pipeline for a non-empty move list (the
     cross-validation property in the test suite holds the two equal), with
-    the live run returned for {!Canon.state}. [Error] on the empty trace
-    (a zero-horizon run) or a key that no longer describes a config. *)
+    the live run returned for {!Canon.state} (the explorer's [dedup]
+    canonicalizes this run, not a fork, whose queue also holds its later
+    boundary controls). [Error] on the empty trace (a zero-horizon run) or
+    a key that no longer describes a config. *)
 
 val explore :
   ?dedup:bool ->
@@ -72,10 +85,13 @@ val explore :
   Instance.t ->
   outcome
 (** Enumerate. Defaults: [dedup] off, [quantum] [1e-9], [max_states]
-    100_000, [Bfs]. Children are generated in alphabet order; [Bfs]
-    explores shallow prefixes first (the verdict's trace is
-    depth-minimal), [Dfs] dives (smaller frontier high-water). The verdict
-    is [Proved] only if every prefix of the space was simulated without a
-    violation and without hitting the budget. Raises [Invalid_argument] if
-    the instance's key stops being runnable (cannot happen for instances
-    built by {!Instance.make}). *)
+    100_000, [Bfs]. Children are generated in alphabet order; [Dfs] is a
+    pre-order walk, and [Bfs] iterative deepening over the same walk, so
+    it explores shallow prefixes first (the verdict's trace is
+    depth-minimal) in the order a FIFO frontier would.
+    [frontier_high_water] is the size such a queue ([Bfs]) or stack
+    ([Dfs]) frontier would reach. The verdict is [Proved] only if every
+    prefix of the space was simulated without a violation and without
+    hitting the budget. Raises [Invalid_argument] unless [quantum] is
+    finite and > 0, or if the instance's key stops being runnable (cannot
+    happen for instances built by {!Instance.make}). *)

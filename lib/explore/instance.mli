@@ -10,9 +10,9 @@
     enumeration exhaustive.
 
     Instances are deliberately tiny (2..6 nodes): the space is
-    [|alphabet|^depth] executions and each is re-simulated from time zero,
-    so exhaustiveness is only affordable at small scope — the small-scope
-    hypothesis is that envelope bugs show up here first. *)
+    [|alphabet|^depth] executions, so exhaustiveness is only affordable at
+    small scope — the small-scope hypothesis is that envelope bugs show up
+    here first. *)
 
 type t = private {
   spec : Gcs_core.Spec.t;
@@ -43,8 +43,10 @@ val make :
     algorithm's own envelope monitor ({!Gcs_check.Check_run.default_spec})
     in abort mode so every probe run stops at its first violation. The
     alphabet is deduplicated (order preserved). Raises [Invalid_argument]
-    on depth < 1, non-positive segment length, an empty alphabet, or a
-    topology outside 2..6 nodes. *)
+    on depth outside 1..64, a segment length that is not finite and > 0,
+    a horizon [depth * segment_len] above 1e9 (gcs-cli's [--horizon] cap),
+    an empty alphabet, a space whose prefix count does not fit in an int,
+    or a topology outside 2..6 nodes. *)
 
 val nodes : t -> int
 (** Node count of the instance's topology (built with the sweep
@@ -63,5 +65,5 @@ val executions : t -> int
 (** [|alphabet| ^ depth] — complete executions in the space. *)
 
 val prefixes : t -> int
-(** [sum over d in 1..depth of |alphabet| ^ d] — prefix simulations a full
-    exhaustive enumeration performs (every prefix is itself checked). *)
+(** [sum over d in 1..depth of |alphabet| ^ d] — prefixes a full
+    exhaustive enumeration checks (every prefix, not only leaves). *)

@@ -63,10 +63,32 @@ let topology_cases =
         (input_error ~mentions:t [ "run"; "-t"; t ]))
     [ "ring:1"; "grid:0x3"; "torus:2x5"; "star:1"; "btree:-1"; "gnp:8:2" ]
 
+let explore_cases =
+  (* nan used to die in Metrics.summarize, inf and 1e300 never finished,
+     quantum 0 died in Canon.state, quantum nan was accepted; depth 40
+     printed a negative prefix count, depth 1000000 never finished *)
+  List.map
+    (fun (mentions, args) ->
+      Alcotest.test_case ("explore " ^ String.concat " " args) `Quick
+        (input_error ~mentions ("explore" :: args)))
+    [
+      ("segment_len", [ "--segment-len=nan" ]);
+      ("segment_len", [ "--segment-len=inf" ]);
+      ("segment_len", [ "--segment-len=1e300"; "--depth=1" ]);
+      ("segment_len", [ "--segment-len=0" ]);
+      ("quantum", [ "--dedup"; "--quantum=0" ]);
+      ("quantum", [ "--quantum=nan" ]);
+      ("quantum", [ "--quantum=inf" ]);
+      ("prefixes", [ "--depth=40"; "--max-states=5" ]);
+      ("depth", [ "--depth=1000000"; "--max-states=1" ]);
+      ("depth", [ "--depth=0" ]);
+    ]
+
 let () =
   Alcotest.run "gcs-cli"
     [
       ("cli.horizon", horizon_cases);
       ("cli.topology", topology_cases);
+      ("cli.explore", explore_cases);
       ("cli.valid", [ Alcotest.test_case "valid run exits 0" `Quick test_valid_run ]);
     ]

@@ -88,6 +88,13 @@ let test_instance_validation () =
   in
   raises "depth 0" (fun () -> Instance.make ~depth:0 ());
   raises "segment 0" (fun () -> Instance.make ~segment_len:0. ());
+  raises "segment nan" (fun () -> Instance.make ~segment_len:Float.nan ());
+  raises "segment inf" (fun () -> Instance.make ~segment_len:Float.infinity ());
+  raises "horizon past 1e9" (fun () ->
+      Instance.make ~segment_len:1e300 ~depth:1 ());
+  raises "prefix count overflows" (fun () -> Instance.make ~depth:40 ());
+  raises "one-move chain too deep" (fun () ->
+      Instance.make ~alphabet:[ List.hd Choice.all ] ~depth:65 ());
   raises "empty alphabet" (fun () -> Instance.make ~alphabet:[] ());
   raises "too many nodes" (fun () ->
       Instance.make ~topology:(Topology.Ring 8) ());
@@ -101,6 +108,16 @@ let test_instance_space_arithmetic () =
   Alcotest.(check int) "executions" 64 (Instance.executions inst);
   Alcotest.(check int) "prefixes" 84 (Instance.prefixes inst);
   Alcotest.(check (float 1e-9)) "horizon" 24. (Instance.horizon inst ~depth:3);
+  (* The deepest space of the nine-move alphabet whose prefix count fits
+     an int; depth 20 is rejected. *)
+  let big = Instance.make ~alphabet:Choice.all ~depth:19 () in
+  Alcotest.(check int) "9^19 executions" 1350851717672992089
+    (Instance.executions big);
+  Alcotest.(check int) "9^19 prefixes" 1519708182382116099
+    (Instance.prefixes big);
+  (match Instance.make ~alphabet:Choice.all ~depth:20 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "9^20 prefixes accepted");
   let dup = Instance.make ~alphabet:(Choice.extremes @ Choice.extremes) () in
   Alcotest.(check int) "alphabet deduplicated" 4
     (List.length dup.Instance.alphabet)
@@ -263,6 +280,183 @@ let prop_simulate_matches_check_run =
       && check (Instance.make ~alphabet:Choice.all ~monitor:(tight_monitor ()) ()))
 
 (* ---------------------------------------------------------------- *)
+(* Oracle: a frontier explorer that re-simulates every prefix       *)
+
+(* The explorer as it was before it forked snapshots: a FIFO (Bfs) or
+   LIFO (Dfs) frontier of traces, each popped trace re-simulated from time
+   zero by [Explorer.simulate]. Slow and obviously right, so the forking
+   explorer must return exactly its outcome. *)
+let reference_explore ?(dedup = false) ?(quantum = 1e-9)
+    ?(max_states = 100_000) ?(strategy = Explorer.Bfs) (inst : Instance.t) =
+  let queue = Queue.create () and stack = ref [] and size = ref 0 in
+  let push x =
+    incr size;
+    match strategy with
+    | Explorer.Bfs -> Queue.add x queue
+    | Explorer.Dfs -> stack := x :: !stack
+  in
+  let pop () =
+    let x =
+      match strategy with
+      | Explorer.Bfs -> Queue.take_opt queue
+      | Explorer.Dfs -> (
+          match !stack with
+          | [] -> None
+          | x :: rest ->
+              stack := rest;
+              Some x)
+    in
+    if x <> None then decr size;
+    x
+  in
+  let memo = Hashtbl.create 256 in
+  let visited = ref 0 and executions = ref 0 and pruned = ref 0 in
+  let max_depth = ref 0 and high_water = ref 0 and events = ref 0 in
+  let push_children trace =
+    let children = List.map (fun m -> trace @ [ m ]) inst.Instance.alphabet in
+    List.iter push
+      (match strategy with
+      | Explorer.Bfs -> children
+      | Explorer.Dfs -> List.rev children);
+    high_water := max !high_water !size
+  in
+  push_children [];
+  let rec loop () =
+    match pop () with
+    | None -> Explorer.Proved
+    | Some _ when !visited >= max_states -> Explorer.Budget_exhausted
+    | Some trace -> (
+        let sim =
+          match Explorer.simulate inst trace with
+          | Ok s -> s
+          | Error e -> failwith e
+        in
+        incr visited;
+        events := !events + sim.Explorer.events_checked;
+        let len = List.length trace in
+        max_depth := max !max_depth len;
+        match sim.Explorer.violation with
+        | Some violation -> Explorer.Violated { trace; violation }
+        | None when len = inst.Instance.depth ->
+            incr executions;
+            loop ()
+        | None ->
+            if not dedup then push_children trace
+            else begin
+              let k =
+                ( inst.Instance.depth - len,
+                  Canon.state ~quantum sim.Explorer.live )
+              in
+              if Hashtbl.mem memo k then incr pruned
+              else begin
+                Hashtbl.add memo k ();
+                push_children trace
+              end
+            end;
+            loop ())
+  in
+  let verdict = loop () in
+  {
+    Explorer.verdict;
+    stats =
+      {
+        Explorer.states_visited = !visited;
+        executions = !executions;
+        pruned = !pruned;
+        distinct_states = Hashtbl.length memo;
+        max_depth = !max_depth;
+        frontier_high_water = !high_water;
+        events_checked = !events;
+      };
+    dedup;
+    strategy;
+    quantum;
+    max_states;
+  }
+
+(* Instances across the registry, every alphabet, three topologies,
+   depths 1-3, normal/tight-rate/skew monitors and the benign and
+   Byzantine fault families. *)
+let gen_case =
+  let open QCheck.Gen in
+  let* algo = oneofl Algorithm.all_kinds in
+  let* alphabet =
+    oneofl [ Choice.all; Choice.drift_only; Choice.delay_only; Choice.extremes ]
+  in
+  let* topology =
+    oneofl [ Topology.Line 2; Topology.Ring 3; Topology.Line 4 ]
+  in
+  let* depth = int_range 1 3 in
+  let* strategy = oneofl [ Explorer.Bfs; Explorer.Dfs ] in
+  let* dedup = bool in
+  let* max_states = oneofl [ 1; 7; 30; 100_000 ] in
+  let* monitor = int_bound 2 in
+  let* plan = int_bound 2 in
+  let* plan_seed = int_bound 1000 in
+  return
+    (algo, alphabet, topology, depth, strategy, dedup, max_states, monitor,
+     plan, plan_seed)
+
+let print_case (algo, alphabet, topology, depth, strategy, dedup, max_states,
+                monitor, plan, plan_seed) =
+  Printf.sprintf
+    "%s %s %s depth=%d %s dedup=%b max_states=%d monitor=%d plan=%d/%d"
+    (Algorithm.kind_name algo)
+    (Choice.alphabet_to_string alphabet)
+    (Topology.spec_name topology) depth
+    (Explorer.strategy_name strategy)
+    dedup max_states monitor plan plan_seed
+
+let prop_explore_matches_oracle =
+  QCheck.Test.make ~name:"explore = re-simulating oracle" ~count:40
+    (QCheck.make ~print:print_case gen_case)
+    (fun (algo, alphabet, topology, depth, strategy, dedup, max_states,
+          monitor, plan, plan_seed) ->
+      let nodes = Instance.nodes (Instance.make ~topology ()) in
+      let horizon = 8. *. float_of_int depth in
+      let fault_plan =
+        match plan with
+        | 0 -> None
+        | 1 -> Some (Check_run.benign_plan ~seed:plan_seed ~horizon ~nodes)
+        | _ ->
+            Some
+              (Check_run.byz_plan ~seed:plan_seed ~horizon ~nodes ~f:1
+                 ~kappa:spec.Spec.kappa)
+      in
+      let monitor =
+        match monitor with
+        | 0 -> Check_run.default_spec ~mode:`Abort spec algo
+        | 1 ->
+            { (Check_run.default_spec ~mode:`Abort spec algo) with
+              Monitor.rate_hi = 1.005; check_rate = true }
+        | _ -> Check_run.default_spec ~mode:`Abort ~skew_bound:0.2 spec algo
+      in
+      let inst =
+        Instance.make ~topology ~algo ~depth ~alphabet ?fault_plan ~monitor ()
+      in
+      let fast = Explorer.explore ~dedup ~max_states ~strategy inst in
+      let oracle = reference_explore ~dedup ~max_states ~strategy inst in
+      compare fast oracle = 0)
+
+(* The benchmark's instance: ring:3, extreme alphabet, depth 6, seed 1. *)
+let test_golden_ring3_depth6 () =
+  let inst = Instance.make ~depth:6 () in
+  let bfs = Explorer.explore inst in
+  let dfs = Explorer.explore ~strategy:Explorer.Dfs inst in
+  List.iter
+    (fun (name, o, high_water) ->
+      let s = o.Explorer.stats in
+      Alcotest.(check bool) (name ^ " proved") true
+        (o.Explorer.verdict = Explorer.Proved);
+      Alcotest.(check int) (name ^ " visited") 5460 s.Explorer.states_visited;
+      Alcotest.(check int) (name ^ " executions") 4096 s.Explorer.executions;
+      Alcotest.(check int) (name ^ " events checked") 3695304
+        s.Explorer.events_checked;
+      Alcotest.(check int) (name ^ " frontier high water") high_water
+        s.Explorer.frontier_high_water)
+    [ ("bfs", bfs, 4096); ("dfs", dfs, 19) ]
+
+(* ---------------------------------------------------------------- *)
 (* Canonicalization and edges of simulate                           *)
 
 let test_canon_deterministic_and_discriminating () =
@@ -320,6 +514,9 @@ let suite =
     Alcotest.test_case "violation: shrink and replay" `Quick
       test_violation_shrinks_and_replays;
     QCheck_alcotest.to_alcotest prop_simulate_matches_check_run;
+    QCheck_alcotest.to_alcotest prop_explore_matches_oracle;
+    Alcotest.test_case "golden: ring3/extremes depth 6" `Quick
+      test_golden_ring3_depth6;
     Alcotest.test_case "canon deterministic" `Quick
       test_canon_deterministic_and_discriminating;
     Alcotest.test_case "simulate rejects empty trace" `Quick
