@@ -11,11 +11,12 @@
     run whose segment controls read their moves from mutable slots, pauses
     it just before each segment boundary, and forks the paused run (run,
     monitor and slots copied together with [Marshal] and [Closures]) once
-    per child. Each decision segment is therefore simulated once per
-    prefix, not once per prefix per ancestor. A prefix's verdict is its
-    fork run through its last boundary and flushed, which equals
-    {!simulate} of the same trace (the test suite holds the two equal
-    against a re-simulating oracle). The fork needs a run with no capture
+    per child, so a prefix costs one segment and one fork instead of a run
+    from time zero ([Bfs]'s iterative deepening also re-forks a prefix's
+    ancestors once per pass). A prefix's verdict is its fork run through
+    its last boundary and flushed, which equals {!simulate} of the same
+    trace (the test suite holds the two equal against a re-simulating
+    oracle). The fork needs a run with no capture
     sinks, a serial engine and no channel reachable from it, which every
     key-described run is. At most [depth + 1] paused runs are kept, in one
     buffer reused for the whole call.
@@ -34,12 +35,14 @@ val strategy_name : strategy -> string
 val strategy_of_string : string -> (strategy, string) result
 
 type stats = {
-  states_visited : int;  (** prefixes simulated *)
+  states_visited : int;  (** prefixes checked *)
   executions : int;  (** complete (depth-d) executions simulated *)
   pruned : int;  (** prefixes not expanded because of a memo hit *)
   distinct_states : int;  (** memo table size (0 with [dedup] off) *)
   max_depth : int;  (** deepest prefix simulated *)
-  frontier_high_water : int;  (** widest the frontier has been *)
+  frontier_high_water : int;
+      (** widest a queue ([Bfs]) or stack ([Dfs]) frontier of pending
+          prefixes would have been *)
   events_checked : int;  (** monitor-checked events, summed over runs *)
 }
 
