@@ -3,22 +3,33 @@
 
 let cli = "../../bin/gcs_cli.exe"
 
-(* Exit code and stderr of [gcs-cli args], stdout discarded. *)
-let gcs_cli args =
+(* Exit code, stdout and stderr of [gcs-cli args]. *)
+let run_cli args =
+  let out_file = Filename.temp_file "gcs_cli" ".out" in
   let err_file = Filename.temp_file "gcs_cli" ".err" in
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let out = Unix.openfile out_file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   let err = Unix.openfile err_file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   let pid =
-    Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin null err
+    Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin out err
   in
-  Unix.close null;
+  Unix.close out;
   Unix.close err;
   let _, status = Unix.waitpid [] pid in
-  let stderr = In_channel.with_open_text err_file In_channel.input_all in
-  Sys.remove err_file;
+  let read file =
+    let s = In_channel.with_open_text file In_channel.input_all in
+    Sys.remove file;
+    s
+  in
+  let stdout = read out_file in
+  let stderr = read err_file in
   match status with
-  | Unix.WEXITED code -> (code, stderr)
+  | Unix.WEXITED code -> (code, stdout, stderr)
   | _ -> Alcotest.failf "gcs-cli %s: killed" (String.concat " " args)
+
+(* Exit code and stderr of [gcs-cli args]. *)
+let gcs_cli args =
+  let code, _, stderr = run_cli args in
+  (code, stderr)
 
 let contains s sub =
   let n = String.length s and k = String.length sub in
@@ -84,11 +95,58 @@ let explore_cases =
       ("depth", [ "--depth=0" ]);
     ]
 
+(* The summary and tail of a simulated trace, byte for byte. *)
+let trace_args = [ "trace"; "-t"; "ring:8"; "--horizon"; "20" ]
+
+let trace_summary =
+  "run: gradient on ring:8, horizon 20, 1 run(s)\n\
+   observations: 324 sends, 306 delivers, 0 drops, 482 timers, 0 rate \
+   changes, 0 fault events\n\
+   run 0: final skews local 0.1637, global 0.1676\n\
+   \n\
+   last 5 events of run 0:\n\
+  \   19.9228  timer    @ 1 (tag 1)\n\
+  \   19.9536  timer    @ 4 (tag 0)\n\
+  \   19.9536  send     4 -> 3 (edge 3, delay 1.2679)\n\
+  \   19.9536  send     4 -> 5 (edge 4, delay 1.0627)\n\
+  \   19.9974  deliver  -> 6 (port 0)\n"
+
+let last_lines k s =
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' s) in
+  List.filteri (fun i _ -> i >= List.length lines - k) lines
+
+let test_trace_summary () =
+  let code, stdout, stderr = run_cli (trace_args @ [ "--tail"; "5" ]) in
+  Alcotest.(check int) ("trace: " ^ stderr) 0 code;
+  Alcotest.(check string) "trace stdout" trace_summary stdout
+
+(* A log exported with --events and read back with --input tails to the
+   same lines the simulated run printed. *)
+let test_trace_input_tail () =
+  let file = Filename.temp_file "gcs_trace" ".jsonl" in
+  let code, _, stderr = run_cli (trace_args @ [ "--events"; file ]) in
+  Alcotest.(check int) ("trace --events: " ^ stderr) 0 code;
+  let code, stdout, stderr =
+    run_cli [ "trace"; "--input"; file; "--tail"; "5" ]
+  in
+  Sys.remove file;
+  Alcotest.(check int) ("trace --input: " ^ stderr) 0 code;
+  Alcotest.(check (list string))
+    "tail lines" (last_lines 5 trace_summary) (last_lines 5 stdout)
+
+let trace_cases =
+  [
+    Alcotest.test_case "summary and tail pinned" `Quick test_trace_summary;
+    Alcotest.test_case "--input tail = simulated tail" `Quick
+      test_trace_input_tail;
+  ]
+
 let () =
   Alcotest.run "gcs-cli"
     [
       ("cli.horizon", horizon_cases);
       ("cli.topology", topology_cases);
       ("cli.explore", explore_cases);
+      ("cli.trace", trace_cases);
       ("cli.valid", [ Alcotest.test_case "valid run exits 0" `Quick test_valid_run ]);
     ]
