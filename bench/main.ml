@@ -30,7 +30,6 @@ module Bias = Gcs_adversary.Bias
 module Table = Gcs_util.Table
 module Prng = Gcs_util.Prng
 module Stats = Gcs_util.Stats
-module Heap = Gcs_util.Heap
 
 let spec = Spec.make ()
 let u = Spec.uncertainty spec
@@ -332,18 +331,29 @@ let e7 () =
 let e9 () =
   header "E9" "Loss and churn tolerance (gradient on ring:32)";
   let graph = Topology.ring 32 in
+  let horizon = 600. and seed = 59 in
   let rows =
     List.map
       (fun duty ->
-        let cfg =
-          Gcs_adversary.Churn.default_config ~spec ~duty ~graph ~seed:59 ()
+        let fault_plan =
+          Gcs_sim.Churn_plan.compile
+            (Gcs_sim.Churn_plan.flap_duty ~duty ~mean_down:10. ~horizon)
+            ~graph ~seed ~horizon
         in
-        let r = Gcs_adversary.Churn.run cfg in
+        let r =
+          Runner.run
+            (Runner.config ~spec ?fault_plan ~horizon ~warmup:0. ~seed graph)
+        in
+        let tail =
+          Metrics.summarize graph r.Runner.samples ~after:(0.5 *. horizon)
+        in
         [
           fmt duty;
-          fmt r.Gcs_adversary.Churn.downtime_fraction;
-          fmt r.Gcs_adversary.Churn.forced_local;
-          fmt r.Gcs_adversary.Churn.forced_global;
+          fmt
+            (float_of_int r.Runner.dropped_faults
+            /. float_of_int r.Runner.messages);
+          fmt tail.Metrics.max_local;
+          fmt tail.Metrics.max_global;
         ])
       [ 0.; 0.1; 0.3; 0.5; 0.8 ]
   in
@@ -739,20 +749,29 @@ let e16 () =
   let n = 24 in
   let graph = Topology.ring n in
   let drift v = if v < n / 2 then Drift.Extreme_high else Drift.Extreme_low in
+  let horizon = 1500. in
+  (* Each listed node crash-stops for good; summarize the survivors over
+     the final quarter. *)
   let run spec crashes =
-    Gcs_adversary.Crash.run
-      (Gcs_adversary.Crash.default_config ~spec ~drift_of_node:drift ~crashes
-         ~graph ~horizon:1500. ~seed:87 ())
+    let fault_plan =
+      Gcs_sim.Fault_plan.of_events
+        (List.map
+           (fun (node, at) -> Gcs_sim.Fault_plan.Node_crash { at; node })
+           crashes)
+    in
+    let r =
+      Runner.run
+        (Runner.config ~spec ~drift_of_node:drift ~fault_plan ~horizon
+           ~warmup:0. ~seed:87 graph)
+    in
+    let alive v = not (List.mem_assoc v crashes) in
+    Metrics.summarize ~alive graph r.Runner.samples ~after:(0.75 *. horizon)
   in
   let rows =
     List.map
       (fun (name, spec, crashes) ->
-        let r = run spec crashes in
-        [
-          name;
-          fmt r.Gcs_adversary.Crash.live_local;
-          fmt r.Gcs_adversary.Crash.live_global;
-        ])
+        let tail = run spec crashes in
+        [ name; fmt tail.Metrics.max_local; fmt tail.Metrics.max_global ])
       [
         ("no crashes", Spec.make (), []);
         ("crash @ slow side, expiry on", Spec.make (), [ (18, 300.) ]);
@@ -1244,12 +1263,14 @@ let e8 () =
   header "E8" "Substrate micro-benchmarks (ns per operation, OLS estimate)";
   let open Bechamel in
   let heap_bench () =
-    let h = Heap.create () in
+    let module Q = Gcs_util.Scheduler.Binary_heap in
+    let h = Q.create () in
     for i = 0 to 999 do
-      Heap.push h ~prio:(float_of_int ((i * 7919) mod 1000)) i
+      Q.push h ~prio:(float_of_int ((i * 7919) mod 1000)) ~seq:i i
     done;
-    let rec drain () = match Heap.pop h with None -> () | Some _ -> drain () in
-    drain ()
+    while not (Q.is_empty h) do
+      ignore (Q.pop_min h)
+    done
   in
   let grid = Topology.grid ~rows:32 ~cols:32 in
   let bfs_bench () = ignore (Shortest_path.bfs grid ~src:0) in

@@ -467,6 +467,21 @@ let attack_cmd =
   in
   let action spec_result algo kind n seed liars segments beam =
     let spec = or_die spec_result in
+    let name, min_n =
+      match kind with
+      | `Fan_lynch -> ("fan-lynch", 2)
+      | `Linear -> ("linear", 2)
+      | `Bias -> ("ring-bias", 3)
+      | `Churn -> ("churn", 3)
+      | `Byz_search -> ("byz-search", 2)
+    in
+    if n < min_n then
+      or_die
+        (Error (Printf.sprintf "-n %d: %s needs at least %d nodes" n name min_n));
+    if kind = `Byz_search && segments < 1 then
+      or_die (Error (Printf.sprintf "--segments %d: must be >= 1" segments));
+    if kind = `Byz_search && beam < 1 then
+      or_die (Error (Printf.sprintf "--beam %d: must be >= 1" beam));
     match kind with
     | `Fan_lynch ->
         let cfg = Fan_lynch.default_config ~spec ~algo ~seed ~n () in
@@ -494,16 +509,27 @@ let attack_cmd =
         Printf.printf "forced global : %.4f\n" r.Bias.forced_global
     | `Churn ->
         let graph = Topology.ring n in
-        let cfg =
-          Gcs_adversary.Churn.default_config ~spec ~algo ~seed ~graph ()
+        let duty = 0.2 and horizon = 600. in
+        let fault_plan =
+          Churn_plan.compile
+            (Churn_plan.flap_duty ~duty ~mean_down:10. ~horizon)
+            ~graph ~seed ~horizon
         in
-        let r = Gcs_adversary.Churn.run cfg in
-        Printf.printf "churn (duty %.2f) on ring:%d against %s\n"
-          cfg.Gcs_adversary.Churn.duty n (Algorithm.kind_name algo);
+        let r =
+          Runner.run
+            (Runner.config ~spec ~algo ?fault_plan ~horizon ~warmup:0. ~seed
+               graph)
+        in
+        let tail =
+          Metrics.summarize graph r.Runner.samples ~after:(0.5 *. horizon)
+        in
+        Printf.printf "churn (duty %.2f) on ring:%d against %s\n" duty n
+          (Algorithm.kind_name algo);
         Printf.printf "realized loss : %.1f%%\n"
-          (100. *. r.Gcs_adversary.Churn.downtime_fraction);
-        Printf.printf "forced local  : %.4f\n" r.Gcs_adversary.Churn.forced_local;
-        Printf.printf "forced global : %.4f\n" r.Gcs_adversary.Churn.forced_global
+          (100. *. float_of_int r.Runner.dropped_faults
+          /. float_of_int r.Runner.messages);
+        Printf.printf "forced local  : %.4f\n" tail.Metrics.max_local;
+        Printf.printf "forced global : %.4f\n" tail.Metrics.max_global
     | `Byz_search ->
         let module Search = Gcs_adversary.Search in
         let cfg = Search.default_config ~spec ~algo ~segments ~beam ~seed ~n () in
@@ -1018,6 +1044,44 @@ let trace_cmd =
              'gcs-cli live --record', or an events.jsonl file) instead of \
              simulating. Simulation arguments are ignored.")
   in
+  (* One writer, one schema check and one tail printer, shared by the
+     simulated and the recorded mode. *)
+  let write_lines ?(header = []) ~what dest lines =
+    if dest = "-" then List.iter print_endline (header @ lines)
+    else begin
+      let oc = open_out dest in
+      List.iter
+        (fun l ->
+          output_string oc l;
+          output_char oc '\n')
+        (header @ lines);
+      close_out oc;
+      Printf.eprintf "wrote %d %s to %s\n" (List.length lines) what dest
+    end
+  in
+  let check_lines lines =
+    List.iteri
+      (fun i line ->
+        match Event_log.validate_line line with
+        | Ok _ -> ()
+        | Error msg ->
+            or_die
+              (Error
+                 (Printf.sprintf "schema violation on line %d: %s" (i + 1) msg)))
+      lines;
+    Printf.eprintf "schema: %d lines OK\n" (List.length lines)
+  in
+  let last_n k xs =
+    let total = List.length xs in
+    List.filteri (fun i _ -> i >= total - k) xs
+  in
+  let print_tail ~heading (last : Event_log.entry list) =
+    Printf.printf "\nlast %d events%s:\n" (List.length last) heading;
+    List.iter
+      (fun (e : Event_log.entry) ->
+        print_endline (Event_log.human_line ~time:e.time e.obs))
+      last
+  in
   (* Recorded mode: the log already exists; apply the same export /
      schema-check / tail machinery to it without running anything. *)
   let trace_input path events check_schema tail =
@@ -1029,67 +1093,21 @@ let trace_cmd =
     if not (Sys.file_exists file) then
       or_die (Error (file ^ ": no such event log"));
     let lines =
-      let ic = open_in file in
-      let rec go acc =
-        match input_line ic with
-        | "" -> go acc
-        | line -> go (line :: acc)
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-      in
-      go []
+      In_channel.with_open_text file In_channel.input_lines
+      |> List.filter (( <> ) "")
     in
-    (match events with
-    | None -> ()
-    | Some dest ->
-        if dest = "-" then List.iter print_endline lines
-        else begin
-          let oc = open_out dest in
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            lines;
-          close_out oc;
-          Printf.eprintf "wrote %d event lines to %s\n" (List.length lines)
-            dest
-        end);
-    if check_schema then begin
-      List.iteri
-        (fun i line ->
-          match Event_log.validate_line line with
-          | Ok _ -> ()
-          | Error msg ->
-              or_die
-                (Error
-                   (Printf.sprintf "schema violation on line %d: %s" (i + 1)
-                      msg)))
-        lines;
-      Printf.eprintf "schema: %d lines OK\n" (List.length lines)
-    end;
+    Option.iter (fun dest -> write_lines ~what:"event lines" dest lines) events;
+    if check_schema then check_lines lines;
     if events = None then begin
       Printf.printf "recorded log %s: %d events\n" file (List.length lines);
-      if tail > 0 then begin
-        let total = List.length lines in
-        let last =
-          if total <= tail then lines
-          else List.filteri (fun i _ -> i >= total - tail) lines
-        in
-        Printf.printf "\nlast %d events:\n" (List.length last);
-        List.iter
-          (fun line ->
-            match Event_log.parse_line line with
-            | Ok { Event_log.entry; _ } ->
-                print_endline
-                  (Gcs_sim.Trace.entry_to_string
-                     {
-                       Gcs_sim.Trace.time = entry.Event_log.time;
-                       obs = entry.Event_log.obs;
-                     })
-            | Error msg -> or_die (Error msg))
-          last
-      end
+      if tail > 0 then
+        print_tail ~heading:""
+          (List.map
+             (fun line ->
+               match Event_log.parse_line line with
+               | Ok { Event_log.entry; _ } -> entry
+               | Error msg -> or_die (Error msg))
+             (last_n tail lines))
     end
   in
   let action spec_result topo algo horizon seed seeds jobs fault_plan events
@@ -1099,6 +1117,8 @@ let trace_cmd =
     | Some path -> trace_input path events check_schema tail
     | None ->
     let spec = or_die spec_result in
+    if check_schema && format = Event_log.Csv then
+      or_die (Error "--check-schema requires --format jsonl");
     let obs =
       {
         Capture.none with
@@ -1134,41 +1154,17 @@ let trace_cmd =
                   (Event_log.entries log))
               logs))
     in
-    (match events with
-    | None -> ()
-    | Some dest ->
+    Option.iter
+      (fun dest ->
         let header =
           match format with
           | Event_log.Csv ->
               [ Gcs_util.Csv.render_row (Event_log.csv_header ~run:multi ()) ]
           | Event_log.Jsonl -> []
         in
-        let all = header @ lines in
-        if dest = "-" then List.iter print_endline all
-        else begin
-          let oc = open_out dest in
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            all;
-          close_out oc;
-          Printf.eprintf "wrote %d event lines to %s\n" (List.length lines) dest
-        end);
-    if check_schema then begin
-      (match format with
-      | Event_log.Csv -> or_die (Error "--check-schema requires --format jsonl")
-      | Event_log.Jsonl -> ());
-      List.iteri
-        (fun i line ->
-          match Event_log.validate_line line with
-          | Ok _ -> ()
-          | Error msg ->
-              or_die
-                (Error (Printf.sprintf "schema violation on line %d: %s" (i + 1) msg)))
-        lines;
-      Printf.eprintf "schema: %d lines OK\n" (List.length lines)
-    end;
+        write_lines ~header ~what:"event lines" dest lines)
+      events;
+    if check_schema then check_lines lines;
     (match series with
     | None -> ()
     | Some dest ->
@@ -1194,60 +1190,47 @@ let trace_cmd =
                    (string_of_int i :: Series.csv_row p))
                merged.Parallel_run.series)
         in
-        let all = Gcs_util.Csv.render_row header :: rows in
-        if dest = "-" then List.iter print_endline all
-        else begin
-          let oc = open_out dest in
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            all;
-          close_out oc;
-          Printf.eprintf "wrote %d series rows to %s\n" (List.length rows) dest
-        end);
+        write_lines
+          ~header:[ Gcs_util.Csv.render_row header ]
+          ~what:"series rows" dest rows);
     if events = None && series = None then begin
       Printf.printf "run: %s on %s, horizon %g, %d run(s)\n"
         (Algorithm.kind_name algo) (Topology.spec_name topo) horizon
         (Array.length results);
-      (* Rebuild per-kind totals by replaying the structured log through a
-         counting trace — same numbers the old single-observer tracer kept. *)
-      let counter = Gcs_sim.Trace.create ~capacity:1 () in
+      (* sends, delivers, drops, timers, rate changes, fault events *)
+      let counts = Array.make 6 0 in
       Array.iter
         (fun log ->
           List.iter
             (fun (e : Event_log.entry) ->
-              Gcs_sim.Trace.record counter e.Event_log.time e.Event_log.obs)
+              let k =
+                match e.obs with
+                | Gcs_sim.Engine.Obs_send _ -> 0
+                | Obs_deliver _ -> 1
+                | Obs_drop _ -> 2
+                | Obs_timer _ -> 3
+                | Obs_rate_change _ -> 4
+                | Obs_node_down _ | Obs_node_up _ | Obs_edge_down _
+                | Obs_edge_up _ | Obs_fault_drop _ | Obs_duplicate _
+                | Obs_corrupt _ | Obs_lie _ ->
+                    5
+              in
+              counts.(k) <- counts.(k) + 1)
             (Event_log.entries log))
         logs;
-      let c = Gcs_sim.Trace.counts counter in
       Printf.printf
         "observations: %d sends, %d delivers, %d drops, %d timers, %d rate \
          changes, %d fault events\n"
-        c.Gcs_sim.Trace.sends c.Gcs_sim.Trace.delivers c.Gcs_sim.Trace.drops
-        c.Gcs_sim.Trace.timers c.Gcs_sim.Trace.rate_changes
-        c.Gcs_sim.Trace.fault_events;
+        counts.(0) counts.(1) counts.(2) counts.(3) counts.(4) counts.(5);
       Array.iteri
         (fun i (r : Runner.result) ->
           Printf.printf "run %d: final skews local %.4f, global %.4f\n" i
             r.Runner.summary.Metrics.final_local
             r.Runner.summary.Metrics.final_global)
         results;
-      if tail > 0 then begin
-        let entries = Event_log.entries logs.(0) in
-        let total = List.length entries in
-        let last =
-          if total <= tail then entries
-          else List.filteri (fun i _ -> i >= total - tail) entries
-        in
-        Printf.printf "\nlast %d events of run 0:\n" (List.length last);
-        List.iter
-          (fun (e : Event_log.entry) ->
-            print_endline
-              (Gcs_sim.Trace.entry_to_string
-                 { Gcs_sim.Trace.time = e.Event_log.time; obs = e.Event_log.obs }))
-          last
-      end
+      if tail > 0 then
+        print_tail ~heading:" of run 0"
+          (last_n tail (Event_log.entries logs.(0)))
     end
   in
   let term =

@@ -74,8 +74,9 @@ type violation = {
   bound : float;  (** the envelope edge or bound it crossed *)
   detail : string;  (** human-readable, [%.17g] floats (repro-exact) *)
   context : string;
-      (** single-line rendering of the triggering observation; [""] when
-          the violation surfaced in the final flush *)
+      (** the triggering observation as a
+          {!Gcs_obs.Event_log.human_line}; [""] when the violation
+          surfaced in the final flush *)
 }
 
 val violation_to_string : violation -> string

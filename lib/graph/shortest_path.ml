@@ -1,5 +1,3 @@
-module Heap = Gcs_util.Heap
-
 (* Breadth-first search from [src] into caller-owned arrays of length n.
    Fills [dist] ([max_int] when unreachable) and [queue] with the reached
    nodes in visiting order, so by non-decreasing distance, and returns how
@@ -102,44 +100,6 @@ let ifub g =
   !lb
 
 let diameter g = Graph.memo_diameter g ifub
-
-let dijkstra g ~weights ~src =
-  Array.iter
-    (fun w ->
-      if w < 0. then invalid_arg "Shortest_path.dijkstra: negative weight")
-    weights;
-  let n = Graph.n g in
-  let dist = Array.make n infinity in
-  let heap = Heap.create () in
-  dist.(src) <- 0.;
-  Heap.push heap ~prio:0. src;
-  let rec loop () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, v) ->
-        if d <= dist.(v) then
-          Array.iter
-            (fun (w, e) ->
-              let nd = d +. weights.(e) in
-              if nd < dist.(w) then begin
-                dist.(w) <- nd;
-                Heap.push heap ~prio:nd w
-              end)
-            (Graph.neighbors g v);
-        loop ()
-  in
-  loop ();
-  dist
-
-let weighted_diameter g ~weights =
-  let best = ref 0. in
-  for v = 0 to Graph.n g - 1 do
-    let dist = dijkstra g ~weights ~src:v in
-    Array.iter
-      (fun d -> if Float.is_finite d then best := Float.max !best d)
-      dist
-  done;
-  !best
 
 let bellman_ford ~n ~arcs ~src =
   let dist = Array.make n infinity in

@@ -22,14 +22,6 @@ val diameter : Graph.t -> int
 val eccentricity : Graph.t -> int -> int
 (** Maximum hop distance from a node. *)
 
-val dijkstra : Graph.t -> weights:float array -> src:int -> float array
-(** Single-source shortest paths with non-negative per-edge weights indexed
-    by edge id; unreachable nodes get [infinity]. Raises [Invalid_argument]
-    on a negative weight. *)
-
-val weighted_diameter : Graph.t -> weights:float array -> float
-(** Maximum finite weighted distance over all pairs. *)
-
 val bellman_ford :
   n:int ->
   arcs:(int * int * float) array ->

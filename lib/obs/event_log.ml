@@ -267,6 +267,37 @@ let encode_csv ?run e =
 let encode_line ?run format e =
   match format with Jsonl -> encode_jsonl ?run e | Csv -> encode_csv ?run e
 
+let human_line ~time obs =
+  match obs with
+  | Engine.Obs_send { src; dst; edge; delay } ->
+      Printf.sprintf "%10.4f  send     %d -> %d (edge %d, delay %.4f)" time src
+        dst edge delay
+  | Engine.Obs_drop { src; dst; edge } ->
+      Printf.sprintf "%10.4f  drop     %d -> %d (edge %d)" time src dst edge
+  | Engine.Obs_deliver { dst; port } ->
+      Printf.sprintf "%10.4f  deliver  -> %d (port %d)" time dst port
+  | Engine.Obs_timer { node; tag } ->
+      Printf.sprintf "%10.4f  timer    @ %d (tag %d)" time node tag
+  | Engine.Obs_rate_change { node; rate } ->
+      Printf.sprintf "%10.4f  rate     @ %d -> %.6f" time node rate
+  | Engine.Obs_node_down { node } ->
+      Printf.sprintf "%10.4f  down     @ %d" time node
+  | Engine.Obs_node_up { node; wipe } ->
+      Printf.sprintf "%10.4f  up       @ %d%s" time node
+        (if wipe then " (wiped)" else "")
+  | Engine.Obs_edge_down { edge } ->
+      Printf.sprintf "%10.4f  cut      edge %d" time edge
+  | Engine.Obs_edge_up { edge } ->
+      Printf.sprintf "%10.4f  healed   edge %d" time edge
+  | Engine.Obs_fault_drop { src; dst; edge } ->
+      Printf.sprintf "%10.4f  f-drop   %d -> %d (edge %d)" time src dst edge
+  | Engine.Obs_duplicate { src; dst; edge } ->
+      Printf.sprintf "%10.4f  dup      %d -> %d (edge %d)" time src dst edge
+  | Engine.Obs_corrupt { src; dst; edge } ->
+      Printf.sprintf "%10.4f  corrupt  %d -> %d (edge %d)" time src dst edge
+  | Engine.Obs_lie { src; dst; edge } ->
+      Printf.sprintf "%10.4f  lie      %d -> %d (edge %d)" time src dst edge
+
 let add_chunk g =
   let ci = g.n_chunks in
   if ci = Array.length g.chunks then begin

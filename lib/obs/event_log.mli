@@ -62,6 +62,13 @@ val entries : t -> entry list
 val encode_line : ?run:int -> format -> entry -> string
 (** Format one entry (no trailing newline). *)
 
+val human_line : time:float -> Gcs_sim.Engine.observation -> string
+(** One observation as a fixed-width human-readable line (no trailing
+    newline): time, kind, then the kind's fields, e.g.
+    [    19.9536  send     4 -> 3 (edge 3, delay 1.2679)]. This is what
+    [gcs-cli trace --tail] prints and what a monitor violation carries as
+    its context. Not parseable; use the JSONL encoding for that. *)
+
 val csv_header : ?run:bool -> unit -> string list
 (** Fixed CSV column set covering every event kind; [~run:true] prepends
     a [run] column. *)

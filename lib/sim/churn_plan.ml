@@ -28,6 +28,24 @@ let of_processes ps =
     (fun a b -> Float.compare (process_start a) (process_start b))
     ps
 
+let flap_duty ~duty ~mean_down ~horizon =
+  if not (duty >= 0. && duty < 1.) then
+    invalid_arg "Churn_plan.flap_duty: duty must be in [0, 1)";
+  if not (mean_down > 0. && Float.is_finite mean_down) then
+    invalid_arg "Churn_plan.flap_duty: mean_down must be finite and > 0";
+  if duty = 0. then empty
+  else
+    [
+      Flap
+        {
+          from_ = 0.;
+          until = horizon;
+          up_mean = mean_down *. (1. -. duty) /. duty;
+          down_mean = mean_down;
+          edges = Fault_plan.All_edges;
+        };
+    ]
+
 (* Rendering *)
 
 let f = Printf.sprintf "%g"

@@ -66,6 +66,13 @@ val of_processes : process list -> t
 
 val process_start : process -> float
 
+val flap_duty : duty:float -> mean_down:float -> horizon:float -> t
+(** Every edge flaps over the whole run, down a [duty] fraction of the
+    time in the long run: [flap@0..horizon:up=U:down=mean_down] with
+    [U = mean_down * (1 - duty) / duty]. {!empty} when [duty = 0].
+    Raises [Invalid_argument] unless [0 <= duty < 1] and [mean_down] is
+    finite and positive. *)
+
 val to_string : t -> string
 (** Render in the textual syntax; [of_string (to_string p)] has the same
     processes as [p]. *)

@@ -95,6 +95,22 @@ let explore_cases =
       ("depth", [ "--depth=0" ]);
     ]
 
+let attack_cases =
+  (* each of these used to die in an uncaught Invalid_argument *)
+  List.map
+    (fun (mentions, args) ->
+      Alcotest.test_case ("attack " ^ String.concat " " args) `Quick
+        (input_error ~mentions ("attack" :: args)))
+    [
+      ("-n", [ "-n"; "2"; "--kind"; "churn" ]);
+      ("-n", [ "-n"; "2"; "--kind"; "ring-bias" ]);
+      ("-n", [ "-n"; "0"; "--kind"; "fan-lynch" ]);
+      ("-n", [ "-n"; "0"; "--kind"; "linear" ]);
+      ("-n", [ "-n"; "0"; "--kind"; "byz-search" ]);
+      ("--segments", [ "--kind"; "byz-search"; "--segments"; "0" ]);
+      ("--beam", [ "--kind"; "byz-search"; "--beam"; "0" ]);
+    ]
+
 (* The summary and tail of a simulated trace, byte for byte. *)
 let trace_args = [ "trace"; "-t"; "ring:8"; "--horizon"; "20" ]
 
@@ -148,5 +164,6 @@ let () =
       ("cli.topology", topology_cases);
       ("cli.explore", explore_cases);
       ("cli.trace", trace_cases);
+      ("cli.attack", attack_cases);
       ("cli.valid", [ Alcotest.test_case "valid run exits 0" `Quick test_valid_run ]);
     ]

@@ -3,36 +3,65 @@ module Spec = Gcs_core.Spec
 module Algorithm = Gcs_core.Algorithm
 module Runner = Gcs_core.Runner
 module Metrics = Gcs_core.Metrics
-module Churn = Gcs_adversary.Churn
-module Prng = Gcs_util.Prng
+module Churn_plan = Gcs_sim.Churn_plan
 
 let spec = Spec.make ()
+
+(* Down-intervals of every edge of [graph] under [flap_duty], read back
+   from the compiled plan's up-intervals. *)
+let down_windows ~duty ~mean_down ~horizon ~seed graph =
+  match
+    Churn_plan.compile
+      (Churn_plan.flap_duty ~duty ~mean_down ~horizon)
+      ~graph ~seed ~horizon
+  with
+  | None -> []
+  | Some plan ->
+      List.map
+        (fun (_, ups) ->
+          let rec gaps from = function
+            | [] -> if from < horizon then [ (from, horizon) ] else []
+            | (a, b) :: rest ->
+                if a > from then (from, a) :: gaps b rest else gaps b rest
+          in
+          gaps 0. ups)
+        (Churn_plan.up_windows plan ~graph ~horizon)
 
 let test_windows_disjoint_sorted =
   QCheck.Test.make ~name:"churn windows are sorted, disjoint, in-horizon"
     ~count:100 QCheck.small_nat
     (fun seed ->
-      let rng = Prng.create ~seed in
-      let ws = Churn.windows ~duty:0.3 ~mean_down:5. ~horizon:200. ~rng in
-      let ok = ref true in
-      Array.iteri
-        (fun i (start, stop) ->
-          if start >= stop || start < 0. || stop > 200. then ok := false;
-          if i > 0 && start < snd ws.(i - 1) then ok := false)
-        ws;
-      !ok)
+      List.for_all
+        (fun ws ->
+          let ok = ref true in
+          List.iteri
+            (fun i (start, stop) ->
+              if start >= stop || start < 0. || stop > 200. then ok := false;
+              if i > 0 && start < snd (List.nth ws (i - 1)) then ok := false)
+            ws;
+          !ok)
+        (down_windows ~duty:0.3 ~mean_down:5. ~horizon:200. ~seed
+           (Topology.ring 6)))
 
 let test_windows_zero_duty () =
-  let rng = Prng.create ~seed:1 in
+  Alcotest.(check int) "no processes" 0
+    (List.length
+       (Churn_plan.processes
+          (Churn_plan.flap_duty ~duty:0. ~mean_down:5. ~horizon:100.)));
   Alcotest.(check int) "no windows" 0
-    (Array.length (Churn.windows ~duty:0. ~mean_down:5. ~horizon:100. ~rng))
+    (List.length
+       (down_windows ~duty:0. ~mean_down:5. ~horizon:100. ~seed:1
+          (Topology.ring 6)))
 
 let test_windows_duty_fraction () =
   (* Long-run down fraction should approximate the duty parameter. *)
-  let rng = Prng.create ~seed:3 in
-  let ws = Churn.windows ~duty:0.3 ~mean_down:10. ~horizon:100_000. ~rng in
   let down =
-    Array.fold_left (fun acc (a, b) -> acc +. (b -. a)) 0. ws
+    List.fold_left
+      (fun acc (a, b) -> acc +. (b -. a))
+      0.
+      (List.concat
+         (down_windows ~duty:0.3 ~mean_down:10. ~horizon:100_000. ~seed:3
+            (Topology.line 2)))
   in
   let fraction = down /. 100_000. in
   Alcotest.(check bool)
@@ -41,30 +70,45 @@ let test_windows_duty_fraction () =
     (Float.abs (fraction -. 0.3) < 0.05)
 
 let test_config_validation () =
-  let graph = Topology.ring 6 in
-  (match Churn.default_config ~duty:1.0 ~graph () with
+  (match Churn_plan.flap_duty ~duty:1.0 ~mean_down:10. ~horizon:600. with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted duty = 1");
-  match Churn.default_config ~mean_down:0. ~graph () with
+  match Churn_plan.flap_duty ~duty:0.2 ~mean_down:0. ~horizon:600. with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted zero mean_down"
 
+(* Gradient sync on [graph] under [flap_duty ~duty ~mean_down:10.] for
+   600 time units: the run, its summary over the final half, and the
+   share of messages lost to the churn. *)
+let churned ~duty ~seed graph =
+  let horizon = 600. in
+  let fault_plan =
+    Churn_plan.compile
+      (Churn_plan.flap_duty ~duty ~mean_down:10. ~horizon)
+      ~graph ~seed ~horizon
+  in
+  let r =
+    Runner.run
+      (Runner.config ~spec ?fault_plan ~horizon ~warmup:0. ~seed graph)
+  in
+  ( Metrics.summarize graph r.Runner.samples ~after:(0.5 *. horizon),
+    float_of_int r.Runner.dropped_faults /. float_of_int r.Runner.messages )
+
 let test_realized_drop_rate_tracks_duty () =
-  let graph = Topology.ring 16 in
-  let r = Churn.run (Churn.default_config ~duty:0.25 ~graph ~seed:5 ()) in
+  let _, rate = churned ~duty:0.25 ~seed:5 (Topology.ring 16) in
   Alcotest.(check bool)
-    (Printf.sprintf "drop rate %.3f near duty" r.Churn.downtime_fraction)
+    (Printf.sprintf "drop rate %.3f near duty" rate)
     true
-    (Float.abs (r.Churn.downtime_fraction -. 0.25) < 0.08)
+    (Float.abs (rate -. 0.25) < 0.08)
 
 let test_graceful_degradation () =
   (* Gradient sync under 30% churn must stay within a small factor of its
      loss-free skew — soft state coasts through outages. *)
   let graph = Topology.ring 16 in
-  let quiet = Churn.run (Churn.default_config ~duty:0. ~graph ~seed:7 ()) in
-  let noisy = Churn.run (Churn.default_config ~duty:0.3 ~graph ~seed:7 ()) in
+  let quiet, _ = churned ~duty:0. ~seed:7 graph in
+  let noisy, _ = churned ~duty:0.3 ~seed:7 graph in
   Alcotest.(check bool) "degrades gracefully" true
-    (noisy.Churn.forced_local < 2.5 *. quiet.Churn.forced_local)
+    (noisy.Metrics.max_local < 2.5 *. quiet.Metrics.max_local)
 
 let test_uniform_loss_in_runner () =
   let graph = Topology.ring 10 in

@@ -5,7 +5,6 @@ let () =
     [
       ("util.prng", Test_prng.suite);
       ("util.stats", Test_stats.suite);
-      ("util.heap", Test_heap.suite);
       ("util.scheduler", Test_scheduler.suite);
       ("util.pool", Test_pool.suite);
       ("util.table", Test_table.suite);
@@ -21,7 +20,6 @@ let () =
       ("sim.fault_plan", Test_fault_plan.suite);
       ("sim.churn_plan", Test_churn_plan.suite);
       ("sim.engine", Test_engine.suite);
-      ("sim.trace", Test_trace.suite);
       ("obs.sinks", Test_obs.suite);
       ("store", Test_store.suite);
       ("sim.mobility", Test_mobility.suite);

@@ -39,24 +39,15 @@ let test_external_under_churn () =
   let anchors v = if v mod 4 = 0 then Some External_sync.perfect_reference else None in
   let algo = External_sync.algorithm ~anchors in
   let graph = Topology.ring 16 in
-  let windows_rng = Gcs_util.Prng.create ~seed:53 in
-  let per_edge =
-    Array.init 16 (fun _ ->
-        Gcs_adversary.Churn.windows ~duty:0.2 ~mean_down:8. ~horizon:1200.
-          ~rng:(Gcs_util.Prng.split windows_rng))
-  in
-  let loss ~edge ~src:_ ~dst:_ ~now =
-    let down =
-      Array.exists
-        (fun (a, b) -> now >= a && now < b)
-        per_edge.(edge mod Array.length per_edge)
-    in
-    if down then 1. else 0.
+  let fault_plan =
+    Gcs_sim.Churn_plan.compile
+      (Gcs_sim.Churn_plan.flap_duty ~duty:0.2 ~mean_down:8. ~horizon:1200.)
+      ~graph ~seed:53 ~horizon:1200.
   in
   let r =
     Runner.run
       (Runner.config ~spec ~algo:Algorithm.Gradient_sync ~override:algo
-         ~loss:(Runner.Custom_loss loss) ~horizon:1200. ~seed:53 graph)
+         ?fault_plan ~horizon:1200. ~seed:53 graph)
   in
   let rt =
     Array.fold_left

@@ -191,6 +191,38 @@ let test_parse_rejections () =
         = Engine.Obs_timer { node = 1; tag = 2 })
   | Error e -> Alcotest.fail e
 
+(* The human-readable line, byte for byte, for every observation kind. *)
+let test_human_line () =
+  List.iter
+    (fun (obs, want) ->
+      Alcotest.(check string) want want (Event_log.human_line ~time:1.5 obs))
+    [
+      ( Engine.Obs_send { src = 4; dst = 3; edge = 3; delay = 1.26789 },
+        "    1.5000  send     4 -> 3 (edge 3, delay 1.2679)" );
+      ( Engine.Obs_drop { src = 0; dst = 1; edge = 0 },
+        "    1.5000  drop     0 -> 1 (edge 0)" );
+      ( Engine.Obs_deliver { dst = 6; port = 0 },
+        "    1.5000  deliver  -> 6 (port 0)" );
+      ( Engine.Obs_timer { node = 3; tag = 2 },
+        "    1.5000  timer    @ 3 (tag 2)" );
+      ( Engine.Obs_rate_change { node = 2; rate = 1.01 },
+        "    1.5000  rate     @ 2 -> 1.010000" );
+      (Engine.Obs_node_down { node = 5 }, "    1.5000  down     @ 5");
+      (Engine.Obs_node_up { node = 5; wipe = false }, "    1.5000  up       @ 5");
+      ( Engine.Obs_node_up { node = 5; wipe = true },
+        "    1.5000  up       @ 5 (wiped)" );
+      (Engine.Obs_edge_down { edge = 7 }, "    1.5000  cut      edge 7");
+      (Engine.Obs_edge_up { edge = 7 }, "    1.5000  healed   edge 7");
+      ( Engine.Obs_fault_drop { src = 1; dst = 2; edge = 1 },
+        "    1.5000  f-drop   1 -> 2 (edge 1)" );
+      ( Engine.Obs_duplicate { src = 1; dst = 2; edge = 1 },
+        "    1.5000  dup      1 -> 2 (edge 1)" );
+      ( Engine.Obs_corrupt { src = 1; dst = 2; edge = 1 },
+        "    1.5000  corrupt  1 -> 2 (edge 1)" );
+      ( Engine.Obs_lie { src = 1; dst = 2; edge = 1 },
+        "    1.5000  lie      1 -> 2 (edge 1)" );
+    ]
+
 let test_csv_export () =
   let log = Event_log.create ~format_:Event_log.Csv () in
   record_all log;
@@ -363,6 +395,7 @@ let suite =
     Alcotest.test_case "jsonl roundtrip" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "parse rejections" `Quick test_parse_rejections;
     Alcotest.test_case "csv export" `Quick test_csv_export;
+    Alcotest.test_case "human-readable line" `Quick test_human_line;
     Alcotest.test_case "series recorder" `Quick test_series_recorder;
     Alcotest.test_case "profiler merge" `Quick test_profiler_merge;
     Alcotest.test_case "runner capture" `Quick test_runner_capture;

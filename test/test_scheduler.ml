@@ -178,15 +178,40 @@ let prop_calendar_matches_heap =
       tail ();
       !ok)
 
-let prop_calendar_sorts =
-  QCheck.Test.make ~name:"calendar drains any multiset in (prio, seq) order"
+(* Model-based, per kind: a random interleaving of pushes ([Some prio])
+   and pops ([None]) against a (prio, seq) list kept sorted, then a drain
+   of whatever is left. A run without pops is the plain multiset drain. *)
+let prop_drains_sorted kind =
+  QCheck.Test.make
+    ~name:
+      (Scheduler.kind_name kind ^ " drains any multiset in (prio, seq) order")
     ~count:300
-    QCheck.(list (float_range (-100.) 100.))
-    (fun xs ->
-      let q = Scheduler.make Scheduler.Calendar in
-      List.iteri (fun seq p -> q.Scheduler.push ~prio:p ~seq seq) xs;
-      let keys = List.map (fun (p, s, _) -> (p, s)) (drain q) in
-      keys = List.sort compare keys && List.length keys = List.length xs)
+    QCheck.(list (option (float_range (-100.) 100.)))
+    (fun ops ->
+      let q = Scheduler.make kind in
+      let model = ref [] and next_seq = ref 0 and ok = ref true in
+      let pop () =
+        match !model with
+        | [] -> ok := !ok && q.Scheduler.size () = 0
+        | (p, s) :: rest ->
+            let qp = q.Scheduler.min_prio () and qs = q.Scheduler.min_seq () in
+            let v = q.Scheduler.pop_min () in
+            ok := !ok && qp = p && qs = s && v = s;
+            model := rest
+      in
+      List.iter
+        (function
+          | Some p ->
+              q.Scheduler.push ~prio:p ~seq:!next_seq !next_seq;
+              model := List.merge compare !model [ (p, !next_seq) ];
+              incr next_seq
+          | None -> pop ())
+        ops;
+      while !model <> [] do
+        ok := !ok && q.Scheduler.size () = List.length !model;
+        pop ()
+      done;
+      !ok && q.Scheduler.size () = 0)
 
 let test_kind_of_string () =
   Alcotest.(check bool)
@@ -208,5 +233,7 @@ let suite =
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "kind_of_string" `Quick test_kind_of_string;
     QCheck_alcotest.to_alcotest prop_calendar_matches_heap;
-    QCheck_alcotest.to_alcotest prop_calendar_sorts;
   ]
+  @ List.map
+      (fun kind -> QCheck_alcotest.to_alcotest (prop_drains_sorted kind))
+      Scheduler.all_kinds

@@ -129,22 +129,6 @@ let test_grid_200_diameter_runs_no_bfs () =
   if words' < n then
     Alcotest.failf "control search allocated only %.0f words" words'
 
-let test_dijkstra_weighted () =
-  (* square with a shortcut: 0-1 (1.0), 1-2 (1.0), 0-2 (1.5) *)
-  let g = Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ] in
-  let weights = [| 1.0; 1.0; 1.5 |] in
-  let d = Sp.dijkstra g ~weights ~src:0 in
-  Alcotest.(check (float 1e-9)) "direct shortcut wins" 1.5 d.(2);
-  let weights' = [| 1.0; 1.0; 2.5 |] in
-  let d' = Sp.dijkstra g ~weights:weights' ~src:0 in
-  Alcotest.(check (float 1e-9)) "two hops win" 2.0 d'.(2)
-
-let test_dijkstra_rejects_negative () =
-  let g = Topology.line 3 in
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Shortest_path.dijkstra: negative weight") (fun () ->
-      ignore (Sp.dijkstra g ~weights:[| 1.; -1. |] ~src:0))
-
 let test_bellman_ford_negative_cycle () =
   let arcs = [| (0, 1, 1.); (1, 2, -3.); (2, 0, 1.) |] in
   (match Sp.bellman_ford ~n:3 ~arcs ~src:0 with
@@ -155,9 +139,9 @@ let test_bellman_ford_negative_cycle () =
   | Ok d -> Alcotest.(check (float 1e-9)) "dist via neg edge" 0.5 d.(2)
   | Error () -> Alcotest.fail "false negative cycle"
 
-let test_bellman_ford_matches_dijkstra =
-  QCheck.Test.make ~name:"bellman-ford = dijkstra on non-negative weights"
-    ~count:50
+let test_bellman_ford_matches_floyd_warshall =
+  QCheck.Test.make
+    ~name:"bellman-ford = floyd-warshall on non-negative weights" ~count:50
     QCheck.(int_range 3 25)
     (fun n ->
       let rng = Prng.create ~seed:n in
@@ -171,11 +155,13 @@ let test_bellman_ford_matches_dijkstra =
              (fun (id, (u, v)) -> [| (u, v, weights.(id)); (v, u, weights.(id)) |])
              (List.mapi (fun i e -> (i, e)) (Array.to_list (Graph.edges g))))
       in
-      let dj = Sp.dijkstra g ~weights ~src:0 in
+      let fw = (Sp.floyd_warshall g ~weights).(0) in
       match Sp.bellman_ford ~n ~arcs ~src:0 with
       | Error () -> false
       | Ok bf ->
-          Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-9) dj bf)
+          Array.for_all2
+            (fun a b -> a = b || Float.abs (a -. b) < 1e-9)
+            fw bf)
 
 let test_bfs_matches_floyd_warshall =
   QCheck.Test.make ~name:"bfs all-pairs = floyd-warshall with unit weights"
@@ -222,11 +208,6 @@ let test_eccentricity () =
   Alcotest.(check int) "endpoint" 4 (Sp.eccentricity g 0);
   Alcotest.(check int) "center" 2 (Sp.eccentricity g 2)
 
-let test_weighted_diameter () =
-  let g = Topology.line 3 in
-  let wd = Sp.weighted_diameter g ~weights:[| 2.; 3. |] in
-  Alcotest.(check (float 1e-9)) "weighted diameter" 5. wd
-
 let suite =
   [
     Alcotest.test_case "bfs line" `Quick test_bfs_line;
@@ -237,12 +218,9 @@ let suite =
       test_diameter_memo_across_domains;
     Alcotest.test_case "grid:200x200 diameter runs no BFS" `Quick
       test_grid_200_diameter_runs_no_bfs;
-    Alcotest.test_case "dijkstra" `Quick test_dijkstra_weighted;
-    Alcotest.test_case "dijkstra negative" `Quick test_dijkstra_rejects_negative;
     Alcotest.test_case "bellman-ford cycle" `Quick test_bellman_ford_negative_cycle;
-    Alcotest.test_case "weighted diameter" `Quick test_weighted_diameter;
     Alcotest.test_case "eccentricity" `Quick test_eccentricity;
-    QCheck_alcotest.to_alcotest test_bellman_ford_matches_dijkstra;
+    QCheck_alcotest.to_alcotest test_bellman_ford_matches_floyd_warshall;
     QCheck_alcotest.to_alcotest test_bfs_matches_floyd_warshall;
     QCheck_alcotest.to_alcotest test_triangle_inequality;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2013 |])
