@@ -1,5 +1,4 @@
 module Spec = Gcs_core.Spec
-module Algorithm = Gcs_core.Algorithm
 module Topology = Gcs_graph.Topology
 module Drift = Gcs_clock.Drift
 module Oe = Gcs_core.Offset_estimator

@@ -12,6 +12,9 @@ module Parallel_run = Gcs_core.Parallel_run
 module Algorithm = Gcs_core.Algorithm
 module Topology = Gcs_graph.Topology
 module Fault_plan = Gcs_sim.Fault_plan
+module Dm = Gcs_sim.Delay_model
+module Hc = Gcs_clock.Hardware_clock
+module Prng = Gcs_util.Prng
 
 let all_kinds : Engine.observation list =
   [
@@ -190,6 +193,45 @@ let test_parse_rejections () =
         (p.Event_log.entry.Event_log.obs
         = Engine.Obs_timer { node = 1; tag = 2 })
   | Error e -> Alcotest.fail e
+
+(* One message 0 -> 1 on a bare engine with an event log attached;
+   [loss] is the drop probability of the delay model. *)
+let one_message_log ~loss =
+  let engine =
+    Engine.create ~graph:(Topology.line 2)
+      ~clocks:(Array.init 2 (fun _ -> Hc.create ~t0:0. ~rate:1. ()))
+      ~delays:
+        (Dm.with_loss
+           (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> loss)
+           (Dm.fixed (Dm.bounds ~d_min:1. ~d_max:1.)))
+      ~rng:(Prng.create ~seed:1) ~t0:0.
+      ~make_node:(fun v ->
+        {
+          Engine.on_init = (fun api -> if v = 0 then api.Engine.send ~port:0 ());
+          on_message = (fun _ ~port:_ () -> ());
+          on_timer = (fun _ ~tag:_ -> ());
+        })
+  in
+  let log = Event_log.create () in
+  Event_log.attach log engine;
+  Engine.run_until engine 5.;
+  (engine, Event_log.entries log)
+
+let test_attached_to_engine () =
+  match one_message_log ~loss:0. with
+  | ( _,
+      [
+        { Event_log.obs = Engine.Obs_send { delay; _ }; time = t0; _ };
+        { Event_log.obs = Engine.Obs_deliver _; time = t1; _ };
+      ] ) ->
+      Alcotest.(check (float 1e-9)) "delivery lag" delay (t1 -. t0)
+  | _ -> Alcotest.fail "expected one send and one delivery"
+
+let test_drop_observed () =
+  match one_message_log ~loss:1. with
+  | engine, [ { Event_log.obs = Engine.Obs_drop _; _ } ] ->
+      Alcotest.(check int) "engine counter" 1 (Engine.messages_dropped engine)
+  | _ -> Alcotest.fail "expected exactly one drop and no delivery"
 
 (* The human-readable line, byte for byte, for every observation kind. *)
 let test_human_line () =
@@ -396,6 +438,8 @@ let suite =
     Alcotest.test_case "parse rejections" `Quick test_parse_rejections;
     Alcotest.test_case "csv export" `Quick test_csv_export;
     Alcotest.test_case "human-readable line" `Quick test_human_line;
+    Alcotest.test_case "attach to engine" `Quick test_attached_to_engine;
+    Alcotest.test_case "drop observed" `Quick test_drop_observed;
     Alcotest.test_case "series recorder" `Quick test_series_recorder;
     Alcotest.test_case "profiler merge" `Quick test_profiler_merge;
     Alcotest.test_case "runner capture" `Quick test_runner_capture;

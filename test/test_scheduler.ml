@@ -186,7 +186,15 @@ let prop_drains_sorted kind =
     ~name:
       (Scheduler.kind_name kind ^ " drains any multiset in (prio, seq) order")
     ~count:300
-    QCheck.(list (option (float_range (-100.) 100.)))
+    QCheck.(
+      list
+        (option
+           (oneof
+              [
+                float_range (-100.) 100.;
+                (* whole numbers: frequent ties, so seq order is exercised *)
+                map float_of_int (int_range (-20) 20);
+              ])))
     (fun ops ->
       let q = Scheduler.make kind in
       let model = ref [] and next_seq = ref 0 and ok = ref true in
