@@ -5,6 +5,7 @@ let () =
     [
       ("util.prng", Test_prng.suite);
       ("util.stats", Test_stats.suite);
+      ("util.heap", Test_scheduler.heap_suite);
       ("util.scheduler", Test_scheduler.suite);
       ("util.pool", Test_pool.suite);
       ("util.table", Test_table.suite);

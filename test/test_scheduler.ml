@@ -181,11 +181,8 @@ let prop_calendar_matches_heap =
 (* Model-based, per kind: a random interleaving of pushes ([Some prio])
    and pops ([None]) against a (prio, seq) list kept sorted, then a drain
    of whatever is left. A run without pops is the plain multiset drain. *)
-let prop_drains_sorted kind =
-  QCheck.Test.make
-    ~name:
-      (Scheduler.kind_name kind ^ " drains any multiset in (prio, seq) order")
-    ~count:300
+let prop_drains_sorted ~name kind =
+  QCheck.Test.make ~name ~count:300
     QCheck.(
       list
         (option
@@ -221,6 +218,16 @@ let prop_drains_sorted kind =
       done;
       !ok && q.Scheduler.size () = 0)
 
+(* The binary heap alone: push a multiset, drain it, and get it back
+   sorted. *)
+let prop_heap_sort =
+  QCheck.Test.make ~name:"heap drains any multiset in sorted order" ~count:300
+    QCheck.(list (float_range (-1000.) 1000.))
+    (fun xs ->
+      let q = Scheduler.make Scheduler.Binary_heap in
+      List.iteri (fun seq x -> q.Scheduler.push ~prio:x ~seq x) xs;
+      List.map (fun (p, _, _) -> p) (drain q) = List.sort compare xs)
+
 let test_kind_of_string () =
   Alcotest.(check bool)
     "heap parses" true
@@ -241,7 +248,19 @@ let suite =
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "kind_of_string" `Quick test_kind_of_string;
     QCheck_alcotest.to_alcotest prop_calendar_matches_heap;
+    QCheck_alcotest.to_alcotest
+      (prop_drains_sorted
+         ~name:"calendar drains any multiset in (prio, seq) order"
+         Scheduler.Calendar);
   ]
-  @ List.map
-      (fun kind -> QCheck_alcotest.to_alcotest (prop_drains_sorted kind))
-      Scheduler.all_kinds
+
+(* The binary heap on its own; the calendar queue is checked against it
+   above. *)
+let heap_suite =
+  [
+    QCheck_alcotest.to_alcotest prop_heap_sort;
+    QCheck_alcotest.to_alcotest
+      (prop_drains_sorted
+         ~name:"random push/pop interleavings match the sorted-list model"
+         Scheduler.Binary_heap);
+  ]
